@@ -94,9 +94,12 @@ class MtpStack(TransportStack):
                  tc: str = "default") -> "MtpEndpoint":
         """Create an endpoint bound to ``port`` (or an ephemeral one)."""
         if port is None:
-            self._next_port += 1
-            port = self._next_port
-        if port in self._endpoints:
+            # Ephemeral ports skip any the caller bound explicitly.
+            port = self._next_port + 1
+            while port in self._endpoints:
+                port += 1
+            self._next_port = port
+        elif port in self._endpoints:
             raise ValueError(f"MTP port {port} already bound")
         endpoint = MtpEndpoint(self, port, on_message, tc=tc)
         self._endpoints[port] = endpoint
@@ -136,8 +139,12 @@ class MtpEndpoint:
         #: priority -> rotation of msg_ids with unsent packets.  Messages
         #: within a priority class are served round-robin, one packet per
         #: turn, so parallel messages interleave (processor sharing) rather
-        #: than serializing behind the oldest elephant.
+        #: than serializing behind the oldest elephant.  A message leaves
+        #: its rotation with its last fresh packet (or when aborted).
         self._ready: Dict[int, deque] = {}
+        #: priority -> {(dst, tc) route: messages of that rotation on it},
+        #: so a round can tell when every queued route is window-blocked.
+        self._ready_routes: Dict[int, Dict[Tuple[int, str], int]] = {}
         self._retx_queue: list = []  # (priority, msg_id, pkt_num)
         #: Min-heap of (send_time, msg_id, pkt_num) for in-flight packets;
         #: entries are validated lazily against the authoritative
@@ -188,6 +195,8 @@ class MtpEndpoint:
         and ``on_failed(send_state)`` fires instead — bounded-latency RPCs
         without caller-side timers.
         """
+        if deadline_ns is not None and deadline_ns <= 0:
+            raise ValueError("deadline must be positive")
         message = Message(size, priority=priority,
                           tc=tc if tc is not None else self.tc,
                           payload=payload,
@@ -198,10 +207,10 @@ class MtpEndpoint:
         self._outgoing[message.msg_id] = state
         self._ready.setdefault(message.priority, deque()).append(
             message.msg_id)
+        routes = self._ready_routes.setdefault(message.priority, {})
+        routes[state.route] = routes.get(state.route, 0) + 1
         self.messages_sent += 1
         if deadline_ns is not None:
-            if deadline_ns <= 0:
-                raise ValueError("deadline must be positive")
             self.sim.schedule(deadline_ns, self._check_deadline,
                               message.msg_id)
         self._try_send()
@@ -222,6 +231,10 @@ class MtpEndpoint:
         state.failed = True
         state.fail_reason = reason
         self.messages_failed += 1
+        if state.unsent_packets():
+            priority = state.message.priority
+            self._ready[priority].remove(msg_id)  # O(n); aborts are rare
+            self._unqueue_route(priority, state.route)
         for pkt_num in list(state.inflight):
             state.inflight.pop(pkt_num)
             path = state.charged_path.pop(
@@ -258,11 +271,10 @@ class MtpEndpoint:
             state = self._outgoing.get(msg_id)
             if state is None or pkt_num in state.acked:
                 continue  # resolved while queued
-            route = (state.dst_address, state.message.tc)
-            if route not in blocked \
+            if state.route not in blocked \
                     and self._send_packet(state, pkt_num, retransmit=True):
                 continue
-            blocked.add(route)
+            blocked.add(state.route)
             remaining.append((priority, msg_id, pkt_num))
         self._retx_queue = remaining
 
@@ -274,28 +286,46 @@ class MtpEndpoint:
         blocked_scans = 0
         for priority in sorted(self._ready):
             rotation = self._ready[priority]
+            routes = self._ready_routes[priority]
             blocked_here = 0
             # One full sweep is `len(rotation)` turns with no progress.
             while rotation and blocked_here < len(rotation) \
                     and blocked_scans < self.max_blocked_scan:
-                msg_id = rotation[0]
-                state = self._outgoing.get(msg_id)
-                if state is None or state.unsent_packets() == 0:
-                    rotation.popleft()
-                    continue
-                route = (state.dst_address, state.message.tc)
-                if route not in blocked and self._send_packet(
+                if routes.keys() <= blocked:
+                    # Every queued route is blocked: the rest of the scan
+                    # could only skip, so take all its skips as one turn.
+                    skips = min(len(rotation) - blocked_here,
+                                self.max_blocked_scan - blocked_scans)
+                    rotation.rotate(-skips)
+                    blocked_scans += skips
+                    break
+                state = self._outgoing[rotation[0]]
+                unsent = state.unsent_packets()
+                if state.route not in blocked and self._send_packet(
                         state, state.next_to_send, retransmit=False):
                     state.next_to_send += 1
-                    rotation.rotate(-1)
+                    if unsent > 1:
+                        rotation.rotate(-1)
+                    else:
+                        rotation.popleft()
+                        self._unqueue_route(priority, state.route)
                     blocked_here = 0
                 else:
-                    blocked.add(route)
+                    blocked.add(state.route)
                     rotation.rotate(-1)
                     blocked_here += 1
                     blocked_scans += 1
-            if not rotation:
-                del self._ready[priority]
+
+    def _unqueue_route(self, priority: int, route: Tuple[int, str]) -> None:
+        """A message on ``route`` left the ``priority`` rotation."""
+        routes = self._ready_routes[priority]
+        if routes[route] > 1:
+            routes[route] -= 1
+            return
+        del routes[route]
+        if not routes:
+            del self._ready[priority]
+            del self._ready_routes[priority]
 
     def _send_packet(self, state: SendState, pkt_num: int,
                      retransmit: bool) -> bool:

@@ -89,6 +89,8 @@ class SendState:
         self.message = message
         self.dst_address = dst_address
         self.dst_port = dst_port
+        #: The (dst, tc) window this message is sent under.
+        self.route = (dst_address, message.tc)
         self.on_complete = on_complete
         self.on_failed = on_failed
         self.created_at = created_at

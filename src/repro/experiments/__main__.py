@@ -25,7 +25,7 @@ from ..perf import sweep_map
 from ..sim import milliseconds
 from .ablations import (ablate_feedback_types, ablate_message_atomicity,
                         ablate_pathlet_granularity)
-from .common import format_table
+from .common import format_table, reset_id_streams
 from .fig2_proxy import Fig2Config, compare_fig2
 from .fig3_one_rpf import Fig3Config, compare_fig3
 from .fig5_multipath import Fig5Config, compare_fig5
@@ -200,6 +200,9 @@ def _run_experiment(job):
     worker processes when ``--jobs N`` fans experiments out.
     """
     name, quick = job
+    # Every experiment starts from the same IDs, so its report does not
+    # depend on which experiments ran before it in this process.
+    reset_id_streams()
     started = time.time()
     report = EXPERIMENTS[name](quick)
     return name, report, time.time() - started

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.pathlets import EcnFeedbackSource, FeedbackSource, PathletRegistry
@@ -10,7 +12,33 @@ from ..net.node import Switch
 from ..sim.units import GBPS, format_rate
 
 __all__ = ["register_pathlets", "attach_exclusion_lookup", "format_table",
-           "series_stats"]
+           "series_stats", "ID_STREAMS", "reset_id_streams"]
+
+#: Process-global ID streams: (module path, attribute).  Their values reach
+#: simulated behaviour — ECMP hashes flow labels built from host addresses
+#: and message ids — so without a reset a run's results depend on how many
+#: IDs the runs before it in the same process drew.
+ID_STREAMS = (
+    ("repro.net.packet", "_packet_ids"),
+    ("repro.net.node", "_addresses"),
+    ("repro.core.message", "_message_ids"),
+    ("repro.core.reassembly", "_blob_ids"),
+    ("repro.core.pathlets", "_pathlet_ids"),
+    ("repro.transport.quic", "_connection_ids"),
+    ("repro.transport.rdma", "_qp_numbers"),
+    ("repro.transport.mptcp", "_meta_ids"),
+    ("repro.transport.udp", "_datagram_ids"),
+    ("repro.apps.kvs", "_request_ids"),
+    ("repro.apps.rpc", "_rpc_ids"),
+    ("repro.offloads.gateway", "_session_ids"),
+)
+
+
+def reset_id_streams() -> None:
+    """Restart every stream in :data:`ID_STREAMS` at 1."""
+    for module_path, attribute in ID_STREAMS:
+        setattr(importlib.import_module(module_path), attribute,
+                itertools.count(1))
 
 
 def register_pathlets(registry: PathletRegistry, ports: Iterable[Port],

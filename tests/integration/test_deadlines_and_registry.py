@@ -76,6 +76,21 @@ class TestDeadlines:
         with pytest.raises(ValueError):
             sender.send_message(b.address, 100, 100, deadline_ns=0)
 
+    def test_rejected_deadline_queues_nothing(self, sim):
+        """A call that raises must not leave a message behind to send."""
+        net, a, b, sw = switched_pair(sim)
+        MtpStack(b).endpoint(port=100)
+        sender = MtpStack(a).endpoint()
+        with pytest.raises(ValueError):
+            sender.send_message(b.address, 100, 10_000, deadline_ns=-1)
+        assert sender.outstanding_messages == 0
+        assert sender.messages_sent == 0
+        # A later message's send round must not pick up a leftover.
+        sender.send_message(b.address, 100, 100)
+        sim.run(until=milliseconds(5))
+        assert sender.data_packets_sent == 1
+        assert a.counters.get("tx_packets") == 1
+
     def test_late_acks_for_aborted_message_ignored(self, sim):
         """ACKs arriving after an abort must not crash or double-count."""
         net, a, b, sw = switched_pair(sim)

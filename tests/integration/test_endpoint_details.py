@@ -162,6 +162,15 @@ class TestEndpointLifecycle:
         ports = {stack.endpoint().port for _ in range(10)}
         assert len(ports) == 10
 
+    def test_ephemeral_ports_skip_bound_ports(self, sim):
+        net, a, b, sw = switched_pair(sim)
+        stack = MtpStack(a)
+        first = stack.endpoint().port
+        stack.endpoint(port=first + 1)
+        stack.endpoint(port=first + 2)
+        assert stack.endpoint().port == first + 3
+        assert stack.endpoint().port == first + 4
+
     def test_bound_port_collision_rejected(self, sim):
         net, a, b, sw = switched_pair(sim)
         stack = MtpStack(a)
