@@ -15,6 +15,7 @@ Payload content is not modelled — only byte counts move through the stream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -215,9 +216,10 @@ class TcpConnection:
         #: seq -> [len, retransmitted, send_ts, lost, sacked]
         self._segments: Dict[int, List] = {}
         self._highest_sacked = 0
-        #: Segment seqs in ascending order (new data only grows rightward),
-        #: so cumulative ACKs pop from the front in O(acked segments).
-        self._seg_order: Deque[int] = deque()
+        #: The keys of ``_segments`` in ascending order (new data only
+        #: grows rightward): cumulative ACKs drop a prefix, SACK blocks
+        #: bisect to their first segment.
+        self._seg_order: List[int] = []
         #: Sequence numbers marked lost, awaiting retransmission (in order).
         self._lost: Deque[int] = deque()
         #: Bytes believed to be in the network (sent, unacked, not lost).
@@ -492,20 +494,25 @@ class TcpConnection:
         SACK (simplified RFC 6675)."""
         if not blocks:
             return
+        segments = self._segments
+        order = self._seg_order
+        # Segments are disjoint and ascending, so ``seq + size`` grows
+        # along ``order`` and each block covers one contiguous run.
         for start, end in blocks:
             self._highest_sacked = max(self._highest_sacked, end)
-        for seq, entry in self._segments.items():
-            if entry[4]:
-                continue
-            size = entry[0]
-            for start, end in blocks:
-                if start <= seq and seq + size <= end:
-                    entry[4] = True
-                    if not entry[3]:
-                        self._pipe -= size
-                    else:
-                        entry[3] = False  # no need to retransmit after all
+            for i in range(bisect_left(order, start), len(order)):
+                seq = order[i]
+                entry = segments[seq]
+                size = entry[0]
+                if seq + size > end:
                     break
+                if entry[4]:
+                    continue
+                entry[4] = True
+                if not entry[3]:
+                    self._pipe -= size
+                else:
+                    entry[3] = False  # no need to retransmit after all
         # Loss inference: an unsacked segment with >= 3 MSS of SACKed data
         # above it is presumed lost (no need to wait for the RTO).
         # Retransmitted segments are only re-presumed lost once an RTT has
@@ -513,13 +520,16 @@ class TcpConnection:
         # them on every SACK and churn forever.
         threshold = self._highest_sacked - 3 * self.mss
         retx_grace = self.srtt if self.srtt is not None else self.min_rto_ns
-        newly_lost = [seq for seq, entry in self._segments.items()
-                      if not entry[3] and not entry[4]
-                      and seq + entry[0] <= threshold
-                      and (not entry[1]
-                           or self.sim.now - entry[2] > retx_grace)]
-        for seq in sorted(newly_lost):
-            self._mark_lost(seq)
+        newly_lost = False
+        for seq in order:
+            entry = segments[seq]
+            if seq + entry[0] > threshold:
+                break
+            if (not entry[3] and not entry[4]
+                    and (not entry[1]
+                         or self.sim.now - entry[2] > retx_grace)):
+                self._mark_lost(seq)
+                newly_lost = True
         if newly_lost and not self._in_recovery:
             self._in_recovery = True
             self._recover = self.snd_nxt
@@ -539,6 +549,10 @@ class TcpConnection:
             return
         if self.state == "syn_sent":
             # Plain ACK without SYN in syn_sent: ignore.
+            return
+        if header.has(FLAG_ACK) and header.ack > self.snd_nxt:
+            # ACK of unsent data: re-ACK and drop (RFC 9293 §3.10.7.4).
+            self._send_ack()
             return
         if self.state == "syn_received" and header.has(FLAG_ACK):
             self._become_established()
@@ -677,18 +691,16 @@ class TcpConnection:
         self._maybe_finish_close()
 
     def _ack_segments(self, ack: int) -> None:
-        while self._seg_order:
-            seq = self._seg_order[0]
-            entry = self._segments.get(seq)
-            if entry is None:
-                self._seg_order.popleft()
-                continue
+        acked = 0
+        for seq in self._seg_order:
+            entry = self._segments[seq]
             if seq + entry[0] > ack:
                 break
-            self._seg_order.popleft()
+            acked += 1
             del self._segments[seq]
             if not entry[3] and not entry[4]:
                 self._pipe -= entry[0]
+        del self._seg_order[:acked]
 
     def _grow_cwnd(self, newly_acked: int) -> None:
         if self.cwnd < self.ssthresh:
@@ -746,7 +758,7 @@ class TcpConnection:
         # Go-back-N: everything unacknowledged is presumed lost; slow start
         # will clock the retransmissions back out.
         self.ssthresh = max(self._pipe // 2, 2 * self.mss)
-        for seq in sorted(self._segments):
+        for seq in self._seg_order:
             self._mark_lost(seq)
         self.cwnd = self.mss
         self._in_recovery = False

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.net import (BlackoutProcessor, DropTailQueue, Network)
+from repro.net.packet import Packet
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
+from repro.transport.tcp import FLAG_ACK, TcpHeader
 from tests.util import TransferApp, tcp_pair
 
 
@@ -165,3 +167,36 @@ class TestWindowUpdates:
         receiver.consume(receiver.unread_bytes)
         sim.run(until=milliseconds(40))
         assert receiver.bytes_delivered > stalled_at
+
+
+class TestUnacceptableAck:
+    def test_ack_of_unsent_data_is_dropped_and_reacked(self, sim):
+        """RFC 9293 §3.10.7.4: an ACK above ``snd_nxt`` changes nothing."""
+        net, a, b, stack_a, stack_b = tcp_pair(sim)
+        app = TransferApp(sim)
+        stack_b.listen(80, lambda conn: app.receiver_callbacks())
+        sender = stack_a.connect(b.address, 80,
+                                 app.sender_callbacks(200_000))
+        sim.run(until=microseconds(40))
+        assert sender.established and sender.outstanding > 0
+        before = (sender.snd_una, sender.snd_nxt, sender.flight_size,
+                  dict(sender._segments))
+        sent = []
+        transmit = sender._transmit
+
+        def logged(header, data_bytes):
+            sent.append(header)
+            transmit(header, data_bytes)
+
+        sender._transmit = logged
+        bogus = TcpHeader(80, sender.local_port, ack=sender.snd_nxt + 14_600,
+                          flags=FLAG_ACK, wnd=1 << 30)
+        sender.handle_segment(Packet(b.address, a.address, 40, "tcp",
+                                     header=bogus), bogus)
+        assert (sender.snd_una, sender.snd_nxt, sender.flight_size,
+                sender._segments) == before
+        assert [h.flags for h in sent] == [FLAG_ACK]
+        assert sent[0].payload_len == 0
+        sim.run(until=milliseconds(10))
+        assert app.received == 200_000
+        assert sender.outstanding == 0

@@ -88,3 +88,30 @@ class TestLossInference:
         check()
         sim.run(until=milliseconds(300))
         assert app.received == 300_000
+
+    def test_scoreboard_exact_after_every_ack(self, sim):
+        """The pipe is exactly the bytes neither lost nor SACKed, and the
+        seq index is the table's keys in order, after every ACK."""
+        net, a, b, stack_a, stack_b = tcp_pair(sim, rate=mbps(100),
+                                               queue_capacity=4)
+        app = TransferApp(sim)
+        stack_b.listen(80, lambda conn: app.receiver_callbacks())
+        sender = stack_a.connect(b.address, 80,
+                                 app.sender_callbacks(300_000))
+        handle_ack = sender._handle_ack
+        sack_acks = []
+
+        def checked(header):
+            handle_ack(header)
+            if header.sack_blocks:
+                sack_acks.append(header)
+            segments = sender._segments
+            assert sender._pipe == sum(
+                entry[0] for entry in segments.values()
+                if not entry[3] and not entry[4])
+            assert sender._seg_order == sorted(segments)
+
+        sender._handle_ack = checked
+        sim.run(until=milliseconds(300))
+        assert app.received == 300_000
+        assert sack_acks and sender.retransmissions > 0
