@@ -1,33 +1,16 @@
-"""repro.perf: kernel microbenchmarks and parallel sweep utilities.
+"""repro.perf: process-parallel sweeps.
 
-Two halves:
-
-* :mod:`repro.perf.parallel` — :func:`sweep_map`, the process-parallel
-  fan-out with a deterministic input-order merge used by
-  ``python -m repro.experiments --jobs N``, the ablation drivers, and
-  the sweep benchmarks.
-* :mod:`repro.perf.bench` — microbenchmarks for the event kernel
-  (events/sec, timer-restart throughput, figure-5 wall clock) and the
-  ``BENCH_kernel.json`` trajectory file they maintain.  Run via
-  ``python -m repro.perf``.
+:func:`sweep_map` (in :mod:`repro.perf.parallel`) fans simulation points
+out over worker processes and merges the results in input order.  It
+backs ``python -m repro.experiments --jobs N``, the ablation drivers,
+and the sweep benchmarks.
 """
 
-from .bench import (BENCH_FILE, bench_event_throughput, bench_fig5_wallclock,
-                    bench_timer_restarts, check_regression, load_baseline,
-                    run_benchmarks, update_trajectory)
 from .parallel import SweepError, SweepFailure, SweepOutcome, sweep_map
 
 __all__ = [
-    "BENCH_FILE",
     "SweepError",
     "SweepFailure",
     "SweepOutcome",
-    "bench_event_throughput",
-    "bench_fig5_wallclock",
-    "bench_timer_restarts",
-    "check_regression",
-    "load_baseline",
-    "run_benchmarks",
     "sweep_map",
-    "update_trajectory",
 ]

@@ -1,8 +1,8 @@
-"""Discrete-event simulation kernel: clock, events, timers, RNG, tracing."""
+"""Discrete-event simulation kernel: clock, events, timers, RNG, counters."""
 
 from .engine import EventHandle, SimulationError, Simulator, Timer
 from .rng import SeedSequence
-from .trace import Counter, TraceRecorder
+from .trace import Counter
 from .units import (GBPS, GIB, KIB, MBPS, MIB, MICROSECOND, MILLISECOND,
                     NANOSECOND, SECOND, bytes_in_interval, format_rate,
                     format_time, gbps, mbps, microseconds, milliseconds,
@@ -10,7 +10,7 @@ from .units import (GBPS, GIB, KIB, MBPS, MIB, MICROSECOND, MILLISECOND,
 
 __all__ = [
     "Simulator", "EventHandle", "Timer", "SimulationError",
-    "SeedSequence", "TraceRecorder", "Counter",
+    "SeedSequence", "Counter",
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
     "GBPS", "MBPS", "KIB", "MIB", "GIB",
     "nanoseconds", "microseconds", "milliseconds", "seconds",

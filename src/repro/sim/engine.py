@@ -1,14 +1,12 @@
 """Discrete-event simulation kernel.
 
-A :class:`Simulator` owns an event store (a binary heap by default, or a
-hierarchical :class:`TimerWheelScheduler` for cancel-heavy workloads) of
-timestamped events.  Events scheduled for the same tick fire in scheduling
-order (FIFO), which keeps runs deterministic.  Components hold a reference
-to the simulator and use :meth:`Simulator.schedule` / :meth:`Simulator.at`
-to arrange callbacks, :meth:`Simulator.schedule_fast` for the handle-free
-never-cancelled hot path (packet arrivals, serialization completions), and
-:class:`Timer` for restartable timeouts (retransmission timers and the
-like).
+A :class:`Simulator` owns a binary heap of timestamped events.  Events
+scheduled for the same tick fire in scheduling order (FIFO), which keeps
+runs deterministic.  Components hold a reference to the simulator and use
+:meth:`Simulator.schedule` / :meth:`Simulator.at` to arrange callbacks,
+:meth:`Simulator.schedule_fast` for the handle-free never-cancelled hot
+path (packet arrivals, serialization completions), and :class:`Timer` for
+restartable timeouts (retransmission timers and the like).
 
 **Event-store entries and the tuple-ordering invariant.**  Entries are
 plain tuples: ``(time, seq, handle)`` for cancellable events and
@@ -17,16 +15,6 @@ simulator, so tuple comparison — which is C-level, and what every heap
 operation uses — is always decided by ``(time, seq)`` and never reaches
 element 2.  :class:`EventHandle` therefore deliberately defines **no**
 ``__lt__``; a regression test pins the invariant.
-
-Scheduler selection is per-simulator::
-
-    sim = Simulator()                    # binary heap (default)
-    sim = Simulator(scheduler="wheel")   # hierarchical timer wheel
-
-Both produce byte-identical event orders (a differential replay test
-asserts this on the paper experiments); the wheel trades a small constant
-overhead on sparse queues for O(1) arm/cancel on the near-future timer
-churn that dominates transport-heavy runs.
 
 Correctness tooling (see ``repro.analysis``) plugs in through two optional
 hooks that cost one branch per event when unused:
@@ -40,13 +28,12 @@ hooks that cost one branch per event when unused:
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple  # noqa: F401
 
 from .units import format_time
 
-__all__ = ["Simulator", "EventHandle", "Timer", "SimulationError",
-           "HeapScheduler", "TimerWheelScheduler", "SCHEDULERS"]
+__all__ = ["Simulator", "EventHandle", "Timer", "SimulationError"]
 
 #: Compaction is considered once the heap holds more than this many
 #: lazily-cancelled entries (keeps tiny heaps out of the bookkeeping).
@@ -61,6 +48,10 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (scheduling in the past, running twice, ...)."""
 
 
+def _past_delay(delay: int) -> SimulationError:
+    return SimulationError(f"cannot schedule into the past: delay={delay}")
+
+
 class EventHandle:
     """Handle to a scheduled event; supports cancellation.
 
@@ -68,9 +59,8 @@ class EventHandle:
     skipped when popped.  This keeps cancel O(1), which matters because
     retransmission timers are cancelled far more often than they fire.  The
     owning simulator keeps a live count of cancelled-but-queued entries so
-    it can answer :meth:`Simulator.pending_events` in O(1) (and, for the
-    heap scheduler, compact the heap when lazy-cancelled entries dominate
-    it).
+    it can answer :meth:`Simulator.pending_events` in O(1) and compact the
+    heap when lazy-cancelled entries dominate it.
 
     Handles are **never compared**: event-store entries are
     ``(time, seq, handle)`` tuples whose comparison is decided by the
@@ -111,17 +101,19 @@ class EventHandle:
         return f"<EventHandle t={format_time(self.time)} {name} {state}>"
 
 
-class HeapScheduler:
-    """Binary-heap event store (the default).
+class Simulator:
+    """Event loop with integer-nanosecond virtual time.
 
-    O(log n) push/pop with lazy cancellation and amortised compaction:
-    cancelled entries are skipped at pop time, and the heap is rebuilt
-    without them once they dominate it (each compaction removes at least
-    half the heap, paid for by the cancellations accumulated since the
-    last one).
+    The event store is a binary heap with lazy cancellation and amortised
+    compaction: cancelled entries are skipped when they reach the head,
+    and the heap is rebuilt without them once they dominate it (each
+    compaction removes at least half the heap, paid for by the
+    cancellations accumulated since the last one).
     """
 
-    __slots__ = ("_queue", "_cancelled", "_pending")
+    __slots__ = ("_queue", "_cancelled", "_pending", "_now", "_seq",
+                 "_running", "_stopped", "_event_hooks", "events_executed",
+                 "ledger")
 
     def __init__(self) -> None:
         self._queue: List[Entry] = []
@@ -129,312 +121,6 @@ class HeapScheduler:
         self._cancelled = 0
         #: Live (uncancelled, unfired) entries.
         self._pending = 0
-
-    def push(self, entry: Entry) -> None:
-        heapq.heappush(self._queue, entry)
-        self._pending += 1
-
-    def note_cancelled(self) -> None:
-        self._cancelled += 1
-        self._pending -= 1
-
-    def _compact(self) -> None:
-        """Rebuild the heap without lazily-cancelled entries (O(n))."""
-        self._queue = [entry for entry in self._queue
-                       if len(entry) != 3 or not entry[2].cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-
-    def _maybe_compact(self) -> None:
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._queue)):
-            self._compact()
-
-    def pop_next(self, until: Optional[int]) -> Optional[Entry]:
-        """Pop the next live entry with ``time <= until``.
-
-        Peeks before popping: an out-of-window head entry stays queued, so
-        bounded runs (``run_for`` loops) never pay the pop/re-push churn.
-        """
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._queue)):
-            self._compact()
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if len(head) == 3 and head[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            if until is not None and head[0] > until:
-                return None
-            heapq.heappop(queue)
-            self._pending -= 1
-            return head
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live entry, or None when drained."""
-        self._maybe_compact()
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if len(head) == 3 and head[2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            return head[0]
-        return None
-
-    def pending(self) -> int:
-        return self._pending
-
-    def queued(self) -> int:
-        """Physical entry count, including lazily-cancelled junk."""
-        return len(self._queue)
-
-
-class TimerWheelScheduler:
-    """Hierarchical timer wheel with a far-future overflow heap.
-
-    Two wheel levels of ``SLOTS`` buckets each cover the near future
-    (level 0: ``granularity_ns`` per slot, ~1 ms total at the default
-    4096 ns; level 1: one L0 rotation per slot, ~268 ms total); events
-    beyond the level-1 horizon fall back to a binary heap and migrate
-    into the wheels as the cursor advances.  Arm and cancel are O(1) —
-    exactly the restart-heavy retransmission-timer workload that churns
-    a heap — while events drained from the current slot are sorted into
-    an "imminent" bucket so execution order is byte-identical to the
-    heap scheduler's ``(time, seq)`` order.
-
-    Lazy-cancelled entries are dropped when their slot is drained; unlike
-    the heap there is no compaction, so a timer restarted k times within
-    one wheel horizon briefly keeps k dead entries alive (bounded by the
-    restart rate times the horizon).
-    """
-
-    SLOTS = 256
-    _MASK = SLOTS - 1
-
-    __slots__ = ("_s0", "_s1", "_g0", "_g1", "_l0", "_l1", "_n0", "_n1",
-                 "_overflow", "_bucket", "_drained_upto", "_cur0", "_cur1",
-                 "_pending")
-
-    def __init__(self, granularity_ns: int = 4096):
-        if granularity_ns <= 0:
-            raise ValueError(
-                f"granularity must be positive, got {granularity_ns}")
-        #: Slot width as a shift (granularity rounded up to a power of 2).
-        self._s0 = max(1, (granularity_ns - 1).bit_length())
-        self._s1 = self._s0 + self.SLOTS.bit_length() - 1
-        self._g0 = 1 << self._s0
-        self._g1 = 1 << self._s1
-        self._l0: List[List[Entry]] = [[] for _ in range(self.SLOTS)]
-        self._l1: List[List[Entry]] = [[] for _ in range(self.SLOTS)]
-        self._n0 = 0  # physical entries in level 0
-        self._n1 = 0  # physical entries in level 1
-        self._overflow: List[Entry] = []  # heap, beyond the L1 horizon
-        #: Imminent events (time < _drained_upto), kept as a heap.
-        self._bucket: List[Entry] = []
-        #: Everything below this absolute time is in the bucket (or fired).
-        self._drained_upto = 0
-        self._cur0 = 0  # == _drained_upto >> _s0
-        self._cur1 = 0  # == _drained_upto >> _s1
-        self._pending = 0
-
-    # -- placement ----------------------------------------------------
-
-    def push(self, entry: Entry) -> None:
-        self._pending += 1
-        time = entry[0]
-        if time < self._drained_upto:
-            # Already drained past this instant (same-tick scheduling or a
-            # bounded run that peeked ahead): goes straight to the bucket.
-            heapq.heappush(self._bucket, entry)
-            return
-        idx0 = time >> self._s0
-        if idx0 - self._cur0 < self.SLOTS:
-            self._l0[idx0 & self._MASK].append(entry)
-            self._n0 += 1
-            return
-        idx1 = time >> self._s1
-        if idx1 - self._cur1 < self.SLOTS:
-            self._l1[idx1 & self._MASK].append(entry)
-            self._n1 += 1
-            return
-        heapq.heappush(self._overflow, entry)
-
-    def _replace(self, entry: Entry) -> None:
-        """Re-place an entry during cascade/migration (no pending change)."""
-        time = entry[0]
-        if time < self._drained_upto:
-            heapq.heappush(self._bucket, entry)
-            return
-        idx0 = time >> self._s0
-        if idx0 - self._cur0 < self.SLOTS:
-            self._l0[idx0 & self._MASK].append(entry)
-            self._n0 += 1
-            return
-        self._l1[(time >> self._s1) & self._MASK].append(entry)
-        self._n1 += 1
-
-    def note_cancelled(self) -> None:
-        self._pending -= 1
-
-    # -- cursor advance -----------------------------------------------
-
-    def _set_drained(self, time: int) -> None:
-        """Advance the drain watermark (always to an L0-slot boundary).
-
-        When the level-1 cursor turns, every L1 slot the watermark has
-        entered is cascaded into level 0 *before* any further draining,
-        and overflow entries that now fit the L1 horizon migrate into
-        the wheels.  Centralising the cascade here is what guarantees
-        the L0 scan can never pass an un-cascaded L1 slot: every cursor
-        movement funnels through this method.
-        """
-        self._drained_upto = time
-        self._cur0 = time >> self._s0
-        cur1 = time >> self._s1
-        if cur1 != self._cur1:
-            old = self._cur1
-            self._cur1 = cur1
-            if self._n1:
-                # Cursor turns with a populated L1 advance one slot at a
-                # time (jumps only happen with both wheels empty), so
-                # this loop is a single iteration in practice.
-                mask = self._MASK
-                for idx1 in range(old + 1, cur1 + 1):
-                    slot = self._l1[idx1 & mask]
-                    if slot:
-                        self._l1[idx1 & mask] = []
-                        self._n1 -= len(slot)
-                        for entry in slot:
-                            if len(entry) != 3 or not entry[2].cancelled:
-                                self._replace(entry)
-                    if not self._n1:
-                        break
-            if self._overflow:
-                horizon = (cur1 + self.SLOTS) << self._s1
-                overflow = self._overflow
-                while overflow and overflow[0][0] < horizon:
-                    self._replace(heapq.heappop(overflow))
-
-    def _advance(self) -> bool:
-        """Drain the next batch of live entries into the (empty) bucket.
-
-        Returns False when nothing is queued anywhere.  Ordering safety:
-        every watermark movement goes through :meth:`_set_drained`, which
-        cascades any L1 slot being entered before the L0 scan can reach
-        its range, and the cursor only jumps over regions proven empty
-        (both wheels drained), so no entry is ever passed by.
-        """
-        mask = self._MASK
-        while True:
-            cur0 = self._cur0
-            # First idx0 of the next L1 slot; cascade happens exactly
-            # when the watermark crosses it (inside _set_drained).
-            boundary = ((cur0 >> 8) + 1) << 8
-            if self._n0:
-                l0 = self._l0
-                for idx in range(cur0, boundary):
-                    slot = l0[idx & mask]
-                    if not slot:
-                        continue
-                    l0[idx & mask] = []
-                    self._n0 -= len(slot)
-                    self._set_drained((idx + 1) << self._s0)
-                    live = [entry for entry in slot
-                            if len(entry) != 3 or not entry[2].cancelled]
-                    if live:
-                        live.sort()  # a sorted list is a valid heap
-                        self._bucket.extend(live)
-                        return True
-                else:
-                    self._set_drained(boundary << self._s0)
-            elif self._n1:
-                # Nothing in L0: step to the boundary; entering the next
-                # L1 slot cascades it into L0 (at most SLOTS steps per
-                # L1 rotation, O(1) each while L0 stays empty).
-                self._set_drained(boundary << self._s0)
-            elif self._overflow:
-                # Both wheels empty: jump the cursor to the overflow
-                # head's L1 slot; _set_drained migrates everything that
-                # now fits (the head always lands in level 0).
-                head_time = self._overflow[0][0]
-                self._set_drained((head_time >> self._s1) << self._s1)
-            else:
-                return False
-
-    # -- draining -----------------------------------------------------
-
-    def pop_next(self, until: Optional[int]) -> Optional[Entry]:
-        """Pop the next live entry with ``time <= until`` (peek-first)."""
-        bucket = self._bucket
-        while True:
-            while bucket:
-                head = bucket[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heapq.heappop(bucket)
-                    continue
-                if until is not None and head[0] > until:
-                    return None
-                heapq.heappop(bucket)
-                self._pending -= 1
-                return head
-            if not self._advance():
-                return None
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live entry, or None when drained."""
-        bucket = self._bucket
-        while True:
-            while bucket:
-                head = bucket[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heapq.heappop(bucket)
-                    continue
-                return head[0]
-            if not self._advance():
-                return None
-
-    def pending(self) -> int:
-        return self._pending
-
-    def queued(self) -> int:
-        """Physical entry count, including lazily-cancelled junk."""
-        return (len(self._bucket) + self._n0 + self._n1
-                + len(self._overflow))
-
-
-#: Scheduler registry: name -> factory (see ``Simulator(scheduler=...)``).
-SCHEDULERS: "dict[str, Callable[[], Any]]" = {
-    "heap": HeapScheduler,
-    "wheel": TimerWheelScheduler,
-}
-
-
-class Simulator:
-    """Event loop with integer-nanosecond virtual time.
-
-    ``scheduler`` selects the event store: ``"heap"`` (default binary
-    heap) or ``"wheel"`` (:class:`TimerWheelScheduler`, O(1) arm/cancel
-    for near-future timers).  Both execute events in identical
-    ``(time, seq)`` order.
-    """
-
-    __slots__ = ("_sched", "_now", "_seq", "_running", "_stopped",
-                 "_event_hooks", "events_executed", "ledger", "scheduler")
-
-    def __init__(self, scheduler: str = "heap") -> None:
-        try:
-            self._sched = SCHEDULERS[scheduler]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; "
-                f"choose from {sorted(SCHEDULERS)}") from None
-        #: Name of the event store in use ("heap" or "wheel").
-        self.scheduler = scheduler
         self._now: int = 0
         self._seq: int = 0
         self._running = False
@@ -455,7 +141,7 @@ class Simulator:
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
+            raise _past_delay(delay)
         return self.at(self._now + delay, callback, *args)
 
     def at(self, time: int, callback: Callable[..., None],
@@ -466,8 +152,9 @@ class Simulator:
                 f"cannot schedule at {format_time(time)}, "
                 f"now is {format_time(self._now)}")
         handle = EventHandle(time, self._seq, callback, args, self)
-        self._sched.push((time, self._seq, handle))
+        heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
+        self._pending += 1
         return handle
 
     def schedule_fast(self, delay: int, callback: Callable[..., None],
@@ -481,9 +168,10 @@ class Simulator:
         :meth:`schedule`, including FIFO ordering within a tick.
         """
         if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        self._sched.push((self._now + delay, self._seq, callback, args))
+            raise _past_delay(delay)
+        heappush(self._queue, (self._now + delay, self._seq, callback, args))
         self._seq += 1
+        self._pending += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -507,11 +195,35 @@ class Simulator:
 
     def _note_cancelled(self) -> None:
         """Record that a queued event was lazily cancelled (see EventHandle)."""
-        self._sched.note_cancelled()
+        self._cancelled += 1
+        self._pending -= 1
+
+    def _compact(self) -> None:
+        """Rebuild the heap without lazily-cancelled entries (O(n)).
+
+        The list is rebuilt in place, so the reference to ``_queue`` that
+        a running :meth:`run` holds stays valid.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if len(entry) != 3 or not entry[2].cancelled]
+        heapify(queue)
+        self._cancelled = 0
 
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event, or None when the queue is drained."""
-        return self._sched.peek_time()
+        queue = self._queue
+        if (self._cancelled > COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(queue)):
+            self._compact()
+        while queue:
+            head = queue[0]
+            if len(head) == 3 and head[2].cancelled:
+                heappop(queue)
+                self._cancelled -= 1
+                continue
+            return head[0]
+        return None
 
     def run(self, until: Optional[int] = None) -> int:
         """Run events until the queue drains or virtual time passes ``until``.
@@ -519,28 +231,45 @@ class Simulator:
         Returns the virtual time at which the run stopped.  When ``until`` is
         given, the clock is advanced to exactly ``until`` even if the last
         event fired earlier, so successive bounded runs compose predictably.
+        The head entry is peeked before it is popped, so an out-of-window
+        event stays queued and bounded ``run_for`` loops never pay a
+        pop/re-push.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        pop_next = self._sched.pop_next
+        queue = self._queue
         hooks = self._event_hooks
         try:
             while not self._stopped:
-                entry = pop_next(until)
-                if entry is None:
+                if (self._cancelled > COMPACT_MIN_CANCELLED
+                        and self._cancelled * 2 > len(queue)):
+                    self._compact()
+                if not queue:
                     break
-                self._now = entry[0]
+                entry = queue[0]
                 if len(entry) == 3:
                     event = entry[2]
+                    if event.cancelled:
+                        heappop(queue)
+                        self._cancelled -= 1
+                        continue
+                    if until is not None and entry[0] > until:
+                        break
+                    heappop(queue)
                     callback, args = event.callback, event.args
                     # Release references so a held handle cannot keep large
                     # packet payloads alive after the event has fired.
                     event.callback = None
                     event.args = ()
                 else:
+                    if until is not None and entry[0] > until:
+                        break
+                    heappop(queue)
                     callback, args = entry[2], entry[3]
+                self._pending -= 1
+                self._now = entry[0]
                 self.events_executed += 1
                 if hooks:
                     for hook in hooks:
@@ -558,20 +287,19 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
-        return self._sched.pending()
+        return self._pending
 
     def queued_entries(self) -> int:
-        """Physical event-store entries, including lazily-cancelled junk.
+        """Physical heap entries, including lazily-cancelled junk.
 
         Diagnostic: ``queued_entries() - pending_events()`` is the dead
-        weight the store is carrying (heap compaction keeps it bounded;
-        the wheel sheds it as slots drain).
+        weight the heap is carrying (compaction keeps it bounded).
         """
-        return self._sched.queued()
+        return len(self._queue)
 
     def __repr__(self) -> str:
         return (f"<Simulator now={format_time(self._now)} "
-                f"queued={self._sched.queued()} "
+                f"queued={len(self._queue)} "
                 f"executed={self.events_executed}>")
 
 
@@ -621,11 +349,17 @@ class Timer:
         """Start the timer; raises if it is already running."""
         if self.running:
             raise SimulationError("timer already running; use restart()")
+        if delay < 0:
+            raise _past_delay(delay)
         self._deadline = self._sim._now + delay
         self._handle = self._sim.schedule(delay, self._fire)
 
     def restart(self, delay: int) -> None:
-        """(Re)arm the timer ``delay`` ns from now, superseding any pending expiry."""
+        """(Re)arm the timer ``delay`` ns from now, superseding any
+        pending expiry.  A rejected ``delay`` leaves the timer as it was.
+        """
+        if delay < 0:
+            raise _past_delay(delay)
         deadline = self._sim._now + delay
         handle = self._handle
         if (handle is not None and not handle.cancelled

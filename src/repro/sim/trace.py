@@ -1,46 +1,11 @@
-"""Lightweight tracing and counters for simulation components.
-
-Components publish named scalar samples to a :class:`TraceRecorder`; the
-experiment harness reads them back as time series.  Recording is opt-in per
-channel so hot paths pay one dict lookup when tracing is off.
-"""
+"""Named counters for simulation components (hosts and switches)."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
-__all__ = ["TraceRecorder", "Counter"]
-
-
-class TraceRecorder:
-    """Collects ``(time_ns, value)`` samples per named channel."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._channels: Dict[str, List[Tuple[int, float]]] = defaultdict(list)
-
-    def record(self, channel: str, time_ns: int, value: float) -> None:
-        """Append a sample to ``channel`` (no-op while disabled)."""
-        if self.enabled:
-            self._channels[channel].append((time_ns, value))
-
-    def samples(self, channel: str) -> List[Tuple[int, float]]:
-        """All samples recorded on ``channel`` (empty list if none)."""
-        return self._channels.get(channel, [])
-
-    def channels(self) -> Iterable[str]:
-        """Names of all channels that have at least one sample."""
-        return self._channels.keys()
-
-    def clear(self) -> None:
-        """Drop all recorded samples."""
-        self._channels.clear()
-
-    def last(self, channel: str, default: float = 0.0) -> float:
-        """Most recent value on ``channel``, or ``default`` when empty."""
-        samples = self._channels.get(channel)
-        return samples[-1][1] if samples else default
+__all__ = ["Counter"]
 
 
 class Counter:

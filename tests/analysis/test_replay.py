@@ -1,5 +1,9 @@
 """Replay-divergence detector: identical seeded runs must hash identically;
 hidden global-RNG use must be pinpointed at its first divergent event.
+
+The paper experiments are also pinned to fixed trace lengths and digests,
+so any change to the event store or the layers that alters which events
+run, or in what order, fails here.
 """
 
 import random
@@ -8,7 +12,9 @@ import pytest
 
 from repro.analysis import (EventTrace, check_replay, find_divergence,
                             trace_run)
+from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
+from repro.experiments.fig8_failover import Fig8Config, run_fig8
 from repro.sim import Simulator, microseconds
 
 
@@ -161,3 +167,59 @@ class TestFig5Replay:
             lambda sim: run_fig5("mtp", config, sim=sim))
         assert result.protocol == "mtp"
         assert len(trace) > 0
+
+
+def _chaos_config():
+    """A compressed fig8 fault timeline that fits a short trace."""
+    return Fig8Config(detection_delay_ns=microseconds(20),
+                      sample_interval_ns=microseconds(25),
+                      flap_down_ns=microseconds(150),
+                      flap_up_ns=microseconds(300),
+                      migrate_ns=microseconds(400),
+                      corrupt_start_ns=microseconds(430),
+                      corrupt_stop_ns=microseconds(480),
+                      corrupt_probability=0.05,
+                      duration_ns=microseconds(600))
+
+
+#: name -> (setup, trace length, trace digest), recorded with the ID
+#: streams restarted (the autouse fixture in ``tests/conftest.py``).  The
+#: fig8 runs use the compressed chaos timeline (link flap, offload
+#: migration, corruption window), so the fault paths are pinned too.
+PINNED_TRACES = {
+    "fig2-200us": (
+        lambda sim: run_fig2(Fig2Config(duration_ns=microseconds(200)),
+                             sim=sim),
+        7673, "e48e344c3c5cca3127b9721791675920"),
+    "fig5-dctcp-300us": (
+        lambda sim: run_fig5("dctcp",
+                             Fig5Config(duration_ns=microseconds(300)),
+                             sim=sim),
+        28020, "f44ab1de1d8bc99285ac98e77857e5a7"),
+    "fig5-mtp-300us": (
+        lambda sim: run_fig5("mtp",
+                             Fig5Config(duration_ns=microseconds(300)),
+                             sim=sim),
+        28571, "6385db0cc3e7527384f4fe8746316c8f"),
+    "fig8-chaos-dctcp-600us": (
+        lambda sim: run_fig8("dctcp", _chaos_config(), sim=sim),
+        14769, "436d464e519790f59e80c64b536d8cfa"),
+    "fig8-chaos-mtp-600us": (
+        lambda sim: run_fig8("mtp", _chaos_config(), sim=sim),
+        5922, "2d85c472851e8eefe7bda8d4c369e59c"),
+}
+
+
+class TestPinnedTraces:
+    """The event order of the paper experiments is fixed."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_trace_matches_pinned_digest(self, name):
+        setup, length, digest = PINNED_TRACES[name]
+        trace, _ = trace_run(setup)
+        assert (len(trace), trace.digest()) == (length, digest)
+
+    def test_fig8_chaos_replays_itself(self):
+        config = _chaos_config()
+        report = check_replay(lambda sim: run_fig8("mtp", config, sim=sim))
+        assert report.ok, report.describe()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.sim.engine import COMPACT_MIN_CANCELLED
 
 #: Operations: ("schedule", delay) or ("cancel", index of earlier schedule).
 operations = st.lists(
@@ -84,3 +85,96 @@ def test_same_tick_fifo_order(ticks):
         by_tick.setdefault(ticks[index], []).append(index)
     for indices in by_tick.values():
         assert indices == sorted(indices)
+
+
+@st.composite
+def compaction_plans(draw):
+    """More than ``2 * COMPACT_MIN_CANCELLED`` events, most cancelled.
+
+    Every handle event whose index is not a multiple of ``keep_every`` is
+    doomed: cancelled before the run or by a purge event that fires first
+    at t=0.  With at most a third of the handle events kept and few fast
+    events, the doomed ones dominate the heap when the purge returns, so
+    ``run`` compacts while it is running.  Bounded steps, cancels between
+    steps and a cancel issued by each event's callback ride along.
+    """
+    limit = COMPACT_MIN_CANCELLED
+    count = draw(st.integers(min_value=2 * limit + 1, max_value=3 * limit))
+    times = st.integers(min_value=0, max_value=5_000)
+    indices = st.integers(min_value=0, max_value=count - 1)
+    delays = draw(st.lists(times, min_size=count, max_size=count))
+    keep_every = draw(st.integers(min_value=3, max_value=6))
+    in_purge = draw(st.lists(st.booleans(), min_size=count,
+                             max_size=count))
+    victims = draw(st.lists(st.one_of(st.none(), indices),
+                            min_size=count, max_size=count))
+    #: (handle events scheduled before it, delay)
+    fast = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=count), times),
+        max_size=limit // 2))
+    steps = sorted(draw(st.lists(st.integers(min_value=0, max_value=6_000),
+                                 max_size=4)))
+    step_cancels = draw(st.lists(st.lists(indices, max_size=8),
+                                 min_size=len(steps), max_size=len(steps)))
+    return (delays, keep_every, in_purge, victims, sorted(fast), steps,
+            step_cancels)
+
+
+@given(compaction_plans())
+@settings(max_examples=60, deadline=None)
+def test_compaction_inside_run_keeps_time_seq_order(plan):
+    delays, keep_every, in_purge, victims, fast, steps, step_cancels = plan
+    sim = Simulator()
+    scheduled = []  # (time, seq) of every event, in scheduling order
+    cancelled = set()  # seqs cancelled while still queued
+    fired = []
+    handles = []
+
+    def cancel(index):
+        handle = handles[index]
+        if handle.pending:
+            cancelled.add(handle.seq)
+        handle.cancel()
+
+    def fire(seq, doomed):
+        fired.append((sim.now, seq))
+        for index in doomed:
+            cancel(index)
+
+    def schedule(delay, doomed):
+        seq = len(scheduled)
+        scheduled.append((delay, seq))
+        return sim.schedule(delay, fire, seq, doomed)
+
+    def schedule_fast(delay):
+        seq = len(scheduled)
+        scheduled.append((delay, seq))
+        sim.schedule_fast(delay, fire, seq, ())
+
+    doomed = [index for index in range(len(delays))
+              if index % keep_every]
+    schedule(0, [index for index in doomed if in_purge[index]])
+    pending_fast = list(fast)
+    for index, delay in enumerate(delays):
+        while pending_fast and pending_fast[0][0] <= index:
+            schedule_fast(pending_fast.pop(0)[1])
+        victim = victims[index]
+        handles.append(schedule(delay, () if victim is None else (victim,)))
+    for _, delay in pending_fast:
+        schedule_fast(delay)
+    for index in doomed:
+        if not in_purge[index]:
+            cancel(index)
+
+    for until, extra in zip(steps, step_cancels):
+        sim.run(until=until)
+        assert sim.now == until
+        assert all(time <= until for time, _ in fired)
+        for index in extra:
+            cancel(index)
+    sim.run()
+
+    assert fired == sorted(entry for entry in scheduled
+                           if entry[1] not in cancelled)
+    assert sim.pending_events() == 0
+    assert sim.queued_entries() == 0

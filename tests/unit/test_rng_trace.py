@@ -1,6 +1,6 @@
-"""Seed sequences and trace recorders."""
+"""Seed sequences and counters."""
 
-from repro.sim import Counter, SeedSequence, TraceRecorder
+from repro.sim import Counter, SeedSequence
 
 
 class TestSeedSequence:
@@ -29,31 +29,6 @@ class TestSeedSequence:
         child_a = seeds.spawn("tenant-a").stream("workload").random()
         child_b = seeds.spawn("tenant-b").stream("workload").random()
         assert child_a != child_b
-
-
-class TestTraceRecorder:
-    def test_records_samples(self):
-        trace = TraceRecorder()
-        trace.record("q", 10, 1.0)
-        trace.record("q", 20, 2.0)
-        assert trace.samples("q") == [(10, 1.0), (20, 2.0)]
-
-    def test_disabled_recorder_is_noop(self):
-        trace = TraceRecorder(enabled=False)
-        trace.record("q", 10, 1.0)
-        assert trace.samples("q") == []
-
-    def test_last_value(self):
-        trace = TraceRecorder()
-        assert trace.last("q", default=-1.0) == -1.0
-        trace.record("q", 10, 3.0)
-        assert trace.last("q") == 3.0
-
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record("q", 10, 1.0)
-        trace.clear()
-        assert list(trace.channels()) == []
 
 
 class TestCounter:

@@ -1,10 +1,12 @@
-"""sweep_map under adversity: crashes, timeouts, and partial results.
+"""sweep_map: input-order results, and behaviour under crashes,
+timeouts, and partial results.
 
-The contract: a healthy robust run is byte-identical to the plain path,
-a crashed worker process is retried (with capped backoff) and recovered
-where possible, a timed-out point is recorded and skipped, and partial
-mode returns everything that completed plus structured failure records
-instead of aborting the whole campaign.
+The contract: results come back in input order whether the points run
+in-process (``jobs <= 1``) or in worker processes; a healthy robust run
+is byte-identical to the plain path; a crashed worker process is retried
+(with capped backoff) and recovered where possible; a timed-out point is
+recorded and skipped; and partial mode returns everything that completed
+plus structured failure records instead of aborting the whole campaign.
 """
 
 import os
@@ -18,6 +20,10 @@ from repro.perf import SweepError, SweepFailure, SweepOutcome, sweep_map
 
 def _square(value):
     return value * value
+
+
+def _identify(value):
+    return (value, os.getpid())
 
 
 def _boom(value):
@@ -46,6 +52,34 @@ def _sleepy(value):
     if value == 1:
         time.sleep(30)  # sim: ignore[SIM001] - orchestration-side stall
     return value * value
+
+
+class TestSweepMap:
+    def test_serial_matches_builtin_map(self):
+        items = list(range(10))
+        assert sweep_map(_square, items, jobs=1) == [i * i for i in items]
+
+    def test_parallel_preserves_input_order(self):
+        items = list(range(20))
+        assert sweep_map(_square, items, jobs=4) == [i * i for i in items]
+
+    def test_parallel_actually_uses_workers(self):
+        results = sweep_map(_identify, list(range(8)), jobs=4)
+        assert [value for value, _ in results] == list(range(8))
+        pids = {pid for _, pid in results}
+        # Ran out-of-process.  (How many workers actually got a share is
+        # up to the OS scheduler — tiny items can all land on one.)
+        assert os.getpid() not in pids
+
+    def test_serial_stays_in_process(self):
+        results = sweep_map(_identify, list(range(3)), jobs=1)
+        assert {pid for _, pid in results} == {os.getpid()}
+
+    def test_empty_items(self):
+        assert sweep_map(_square, [], jobs=4) == []
+
+    def test_single_item_short_circuits(self):
+        assert sweep_map(_identify, [5], jobs=8) == [(5, os.getpid())]
 
 
 class TestHealthyRuns:
