@@ -3,7 +3,7 @@
 A faithful, self-contained reproduction of "TCP is Harmful to In-Network
 Computing: Designing a Message Transport Protocol (MTP)" (HotNets'21),
 including the discrete-event network simulator it runs on, TCP/DCTCP/UDP
-baselines, in-network computing offloads, and a benchmark harness that
+baselines, in-network computing offloads, and an experiment runner that
 regenerates every table and figure of the paper's evaluation.
 
 Package map:

@@ -1,6 +1,5 @@
 """Application layer: workloads, RPC, KVS, tenants."""
 
-from .closed_loop import ClosedLoopLoad
 from .framing import TcpMessageFraming
 from .kvs import REQUEST_SIZE, KvRequest, KvResponse, KvsClient, KvsServer
 from .rpc import RpcClient, RpcRequest, RpcResponse, RpcServer
@@ -15,5 +14,5 @@ __all__ = [
     "RpcServer", "RpcClient", "RpcRequest", "RpcResponse",
     "KvsServer", "KvsClient", "KvRequest", "KvResponse", "REQUEST_SIZE",
     "Tenant", "TenantSet",
-    "TcpMessageFraming", "ClosedLoopLoad",
+    "TcpMessageFraming",
 ]

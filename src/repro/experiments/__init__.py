@@ -10,11 +10,15 @@
 | Figure 7 | :mod:`.fig7_isolation`  | ``run_fig7``, ``compare_fig7`` |
 | Figure 8 | :mod:`.fig8_failover`   | ``run_fig8``, ``compare_fig8`` |
 | Ablations| :mod:`.ablations`       | ``ablate_*`` |
+| Extensions, sweeps | :mod:`.extensions` | ``compare_*``, ``sweep_*`` |
 
 Figure 8 is this reproduction's extension: the paper argues that message
 transport plus pathlet scoping makes failure recovery local and fast;
 fig8 demonstrates it under a scripted chaos schedule (link flap, offload
 migration, corruption window) with packet-conservation auditing on.
+
+``python -m repro.experiments`` runs every driver and ends each report
+with ``[CLAIM]`` lines checking the paper's claims (see ``__main__``).
 """
 
 from .ablations import (ablate_feedback_types, ablate_message_atomicity,

@@ -11,8 +11,10 @@ Reports go to stdout; progress/timing chatter goes to stderr, so stdout
 is byte-identical for any ``--jobs`` value (each experiment seeds its
 own simulator — parallelism cannot perturb results, only wall clock).
 
-Benchmark-grade runs with timings live in ``pytest benchmarks/
---benchmark-only``; this runner is the human-friendly front end.
+Every report ends with ``[CLAIM] <id>: ... HOLDS|FAILS`` lines that check
+the paper's claims against that report's own results.
+``tests/integration/test_paper_claims.py`` runs ``--quick`` and requires
+every claim to hold and stdout to equal ``tests/golden/quick_stdout.txt``.
 """
 
 from __future__ import annotations
@@ -23,12 +25,17 @@ import time
 
 from ..perf import sweep_map
 from ..sim import milliseconds
+from ..stats import percentile
 from .ablations import (ablate_feedback_types, ablate_message_atomicity,
                         ablate_pathlet_granularity)
-from .common import format_table, reset_id_streams
+from .common import claim, format_table, reset_id_streams
+from .extensions import (SENDERS_PER_WAVE, TCP_HEADER_BYTES, WAVES,
+                         compare_fresh_senders, compare_message_independence,
+                         compare_trimming, header_sizes, sweep_fig6_load,
+                         sweep_flip_period)
 from .fig2_proxy import Fig2Config, compare_fig2
 from .fig3_one_rpf import Fig3Config, compare_fig3
-from .fig5_multipath import Fig5Config, compare_fig5
+from .fig5_multipath import Fig5Config, compare_fig5, run_fig5
 from .fig6_loadbalance import Fig6Config, compare_fig6
 from .fig7_isolation import Fig7Config, compare_fig7
 from .fig8_failover import Fig8Config, compare_fig8
@@ -36,8 +43,13 @@ from .table1 import (BASELINE_LIMIT_PROBES, PROBES, render_paper_table,
                      run_baseline_probes, run_probes)
 
 
+def _with_claims(report: str, claims) -> str:
+    return report + "\n\n" + "\n".join(claims)
+
+
 def run_table1(quick: bool) -> str:
     probes = run_probes()
+    baseline = run_baseline_probes()
     lines = [render_paper_table(), "", "MTP column verified by probes:"]
     for requirement, passed in probes.items():
         status = "PASS" if passed else "FAIL"
@@ -45,25 +57,49 @@ def run_table1(quick: bool) -> str:
                      f"{PROBES[requirement][0]}")
     lines.append("")
     lines.append("Baseline limitations confirmed by counterexample:")
-    for name, confirmed in run_baseline_probes().items():
+    for name, confirmed in baseline.items():
         status = "CONFIRMED" if confirmed else "NOT REPRODUCED"
         lines.append(f"  [{status}] {name}: "
                      f"{BASELINE_LIMIT_PROBES[name][0]}")
-    return "\n".join(lines)
+    return _with_claims("\n".join(lines), [
+        claim("table1.mtp_column", "every MTP-column probe passes",
+              all(probes.values())),
+        claim("table1.baseline_limits",
+              "every baseline limitation is confirmed by counterexample",
+              all(baseline.values())),
+    ])
 
 
 def run_fig2_report(quick: bool) -> str:
     config = Fig2Config(duration_ns=milliseconds(1.5 if quick else 3))
-    results = compare_fig2(config)
+    limit_bytes = 256 * 1024
+    results = compare_fig2(config, limited_buffer_bytes=limit_bytes)
     rows = [[result.mode, f"{result.peak_buffer_bytes / 1e6:.2f}",
              f"{result.buffer_growth_bps() / 1e9:.1f}",
              f"{result.client_goodput_bps / 1e9:.1f}",
              f"{result.server_goodput_bps / 1e9:.1f}"]
             for result in results.values()]
-    return format_table(
+    unlimited, limited = results["unlimited"], results["limited"]
+    mismatch_bps = config.client_rate_bps - config.server_rate_bps
+    return _with_claims(format_table(
         ["mode", "peak buffer (MB)", "growth (Gbps)", "client (Gbps)",
          "server (Gbps)"], rows,
-        title="Figure 2: TCP termination at a 100->40 Gbps proxy")
+        title="Figure 2: TCP termination at a 100->40 Gbps proxy"), [
+        claim("fig2.unlimited_growth",
+              "unlimited rwnd: proxy buffer grows > 0.6x the client-server "
+              "rate mismatch",
+              unlimited.buffer_growth_bps() > 0.6 * mismatch_bps),
+        claim("fig2.limited_bounded",
+              "limited rwnd: peak proxy buffer < 4x the rwnd limit",
+              limited.peak_buffer_bytes < 4 * limit_bytes),
+        claim("fig2.limited_hol",
+              "limited rwnd: client goodput < 0.6x unlimited (HOL-blocked)",
+              limited.client_goodput_bps
+              < 0.6 * unlimited.client_goodput_bps),
+        claim("fig2.limited_server_busy",
+              "limited rwnd: server goodput > 0.8x the server link rate",
+              limited.server_goodput_bps > 0.8 * config.server_rate_bps),
+    ])
 
 
 def run_fig3_report(quick: bool) -> str:
@@ -72,10 +108,23 @@ def run_fig3_report(quick: bool) -> str:
     rows = [[result.mode, f"{result.mean_throughput_bps / 1e9:.1f}",
              f"{result.throughput_cov:.3f}", result.messages_completed]
             for result in results.values()]
-    return format_table(
+    per_message, persistent = results["per_message"], results["persistent"]
+    return _with_claims(format_table(
         ["mode", "mean throughput (Gbps)", "CoV", "messages"], rows,
         title="Figure 3: 16KB messages, connection-per-message vs "
-              "persistent")
+              "persistent"), [
+        claim("fig3.per_message_underutilizes",
+              "connection-per-message throughput < 0.95x persistent",
+              per_message.mean_throughput_bps
+              < 0.95 * persistent.mean_throughput_bps),
+        claim("fig3.per_message_noisier",
+              "connection-per-message throughput CoV > persistent",
+              per_message.throughput_cov > persistent.throughput_cov),
+        claim("fig3.per_message_fewer_messages",
+              "connection-per-message completes fewer messages",
+              per_message.messages_completed
+              < persistent.messages_completed),
+    ])
 
 
 def run_fig5_report(quick: bool) -> str:
@@ -84,13 +133,26 @@ def run_fig5_report(quick: bool) -> str:
     rows = [[result.protocol, f"{result.mean_goodput_bps / 1e9:.2f}",
              f"{result.stats['cov']:.2f}", result.unconverged_phases()]
             for result in results.values()]
-    gain = (results["mtp"].mean_goodput_bps
-            / results["dctcp"].mean_goodput_bps - 1) * 100
-    return format_table(
+    dctcp, mtp = results["dctcp"], results["mtp"]
+    gain = (mtp.mean_goodput_bps / dctcp.mean_goodput_bps - 1) * 100
+    return _with_claims(format_table(
         ["protocol", "mean goodput (Gbps)", "CoV", "unconverged phases"],
         rows,
         title=f"Figure 5: alternating 100<->10 Gbps paths (MTP "
-              f"+{gain:.0f}%)")
+              f"{gain:+.0f}%)"), [
+        claim("fig5.mtp_vs_dctcp", "MTP mean goodput > 1.25x DCTCP",
+              mtp.mean_goodput_bps > 1.25 * dctcp.mean_goodput_bps),
+        claim("fig5.mtp_goodput", "MTP mean goodput > 35 Gbps",
+              mtp.mean_goodput_bps > 35e9),
+        claim("fig5.dctcp_progress", "DCTCP mean goodput > 5 Gbps",
+              dctcp.mean_goodput_bps > 5e9),
+        claim("fig5.mtp_converges",
+              "MTP reaches 80% of the plateau in every flip phase",
+              mtp.unconverged_phases() == 0),
+        claim("fig5.dctcp_unconverged",
+              "DCTCP misses 80% of the plateau in some flip phase",
+              dctcp.unconverged_phases() > 0),
+    ])
 
 
 def run_fig6_report(quick: bool) -> str:
@@ -100,9 +162,24 @@ def run_fig6_report(quick: bool) -> str:
              f"{result.p50_fct_ns() / 1e3:.0f}",
              f"{result.p99_fct_ns() / 1e3:.0f}"]
             for result in results.values()]
-    return format_table(
+    mtp_p99 = results["mtp_lb"].p99_fct_ns()
+    return _with_claims(format_table(
         ["system", "messages", "p50 FCT (us)", "p99 FCT (us)"], rows,
-        title="Figure 6: load balancers over two 100 Gbps paths")
+        title="Figure 6: load balancers over two 100 Gbps paths"), [
+        claim("fig6.mtp_lowest_p99",
+              "MTP LB p99 FCT < ECMP's and < spraying's",
+              mtp_p99 < results["ecmp"].p99_fct_ns()
+              and mtp_p99 < results["spray"].p99_fct_ns()),
+        claim("fig6.all_complete",
+              "every system completes >= 95% of the offered messages",
+              all(result.messages_completed
+                  >= 0.95 * result.messages_offered
+                  for result in results.values())),
+    ])
+
+
+def _isolates(result) -> bool:
+    return 0.7 < result.throughput_ratio() < 1.4 and result.fairness > 0.95
 
 
 def run_fig7_report(quick: bool) -> str:
@@ -113,9 +190,24 @@ def run_fig7_report(quick: bool) -> str:
              f"{result.tenant_goodput_bps['tenant2'] / 1e9:.1f}",
              f"{result.fairness:.3f}"]
             for result in results.values()]
-    return format_table(
+    return _with_claims(format_table(
         ["system", "tenant1 (Gbps)", "tenant2 (Gbps)", "Jain"], rows,
-        title="Figure 7: per-entity isolation, tenant2 runs 8x streams")
+        title="Figure 7: per-entity isolation, tenant2 runs 8x streams"), [
+        claim("fig7.shared_skewed",
+              "shared queue: tenant2 goodput > 4x tenant1's",
+              results["shared"].throughput_ratio() > 4.0),
+        claim("fig7.separate_isolates",
+              "per-tenant queues: 0.7 < tenant2/tenant1 < 1.4, Jain > 0.95",
+              _isolates(results["separate"])),
+        claim("fig7.fair_share_isolates",
+              "MTP fair share: 0.7 < tenant2/tenant1 < 1.4, Jain > 0.95",
+              _isolates(results["fair_share"])),
+        claim("fig7.link_utilized",
+              "every system: total goodput > 0.7x the bottleneck rate",
+              all(sum(result.tenant_goodput_bps.values())
+                  > 0.7 * config.bottleneck_rate_bps
+                  for result in results.values())),
+    ])
 
 
 def run_fig8_report(quick: bool) -> str:
@@ -135,25 +227,22 @@ def run_fig8_report(quick: bool) -> str:
             f"{result.mean_goodput_bps / 1e9:.1f}",
             "OK" if result.conservation and result.conservation.ok
             else "LEAK"])
-    lines = [format_table(
+    telemetry = results["mtp"].telemetry
+    tcp_ttr = results["dctcp"].link_down_ttr_ns
+    mtp_ttr = results["mtp"].link_down_ttr_ns
+    return _with_claims("\n".join([format_table(
         ["protocol", "TTR (us)", "dip (Gbps)", "retx storm",
          "goodput (Gbps)", "ledger"], rows,
         title="Figure 8: primary-link failure, offload migration, "
-              "corruption window")]
-    tcp_ttr = results["dctcp"].link_down_ttr_ns
-    mtp_ttr = results["mtp"].link_down_ttr_ns
-    if mtp_ttr is not None and (tcp_ttr is None or mtp_ttr < tcp_ttr):
-        speedup = (f"{tcp_ttr / mtp_ttr:.1f}x faster"
-                   if tcp_ttr is not None else "TCP never recovered")
-        lines.append(f"MTP recovers in {mtp_ttr / 1e3:.0f} us "
-                     f"({speedup}).")
-    else:
-        lines.append("WARNING: MTP did not recover faster than TCP.")
-    telemetry = results["mtp"].telemetry
-    lines.append(f"telemetry offload: {telemetry.packets} packets "
-                 f"counted across {len(telemetry.migrations)} "
-                 f"migration(s) {telemetry.migrations}")
-    return "\n".join(lines)
+              "corruption window"),
+        f"telemetry offload: {telemetry.packets} packets "
+        f"counted across {len(telemetry.migrations)} "
+        f"migration(s) {telemetry.migrations}"]), [
+        claim("fig8.mtp_recovers_faster",
+              "MTP recovers from the link failure before DCTCP does",
+              mtp_ttr is not None
+              and (tcp_ttr is None or mtp_ttr < tcp_ttr)),
+    ])
 
 
 def run_ablations_report(quick: bool) -> str:
@@ -171,6 +260,17 @@ def run_ablations_report(quick: bool) -> str:
         [[kind, f"{info['goodput_bps'] / 1e9:.2f}",
           info["peak_queue_pkts"]] for kind, info in feedback.items()],
         title="Ablation: feedback dialects (10 Gbps bottleneck)"))
+    # The per-link granularity point is already Figure 5 with ECN feedback.
+    dialects = {"ecn": granularity["per_link"]}
+    for dialect in ("delay", "rate"):
+        dialects[dialect] = run_fig5("mtp", Fig5Config(
+            duration_ns=duration, mtp_feedback=dialect))
+    sections.append(format_table(
+        ["dialect", "mean goodput (Gbps)", "unconverged phases"],
+        [[dialect, f"{result.mean_goodput_bps / 1e9:.1f}",
+          result.unconverged_phases()]
+         for dialect, result in dialects.items()],
+        title="Ablation: feedback dialects (Figure-5 scenario)"))
     atomicity = ablate_message_atomicity(Fig6Config(duration_ns=duration))
     sections.append(format_table(
         ["placement", "p50 FCT (us)", "p99 FCT (us)"],
@@ -178,7 +278,165 @@ def run_ablations_report(quick: bool) -> str:
           f"{result.p99_fct_ns() / 1e3:.0f}"]
          for label, result in atomicity.items()],
         title="Ablation: message atomicity (Figure-6 scenario)"))
-    return "\n\n".join(sections)
+    return _with_claims("\n\n".join(sections), [
+        claim("ablations.pathlet_granularity",
+              "per-link pathlets beat one global pathlet on goodput",
+              granularity["per_link"].mean_goodput_bps
+              > granularity["single"].mean_goodput_bps),
+        claim("ablations.feedback_fills_link",
+              "every dialect: goodput > 0.85x the bottleneck rate",
+              all(info["goodput_bps"] > 0.85 * info["capacity_bps"]
+                  for info in feedback.values())),
+        claim("ablations.feedback_bounded_queue",
+              "every dialect: peak queue < 256 packets",
+              all(info["peak_queue_pkts"] < 256
+                  for info in feedback.values())),
+        *(claim(f"ablations.fig5_{dialect}",
+                f"Figure 5 with {dialect} feedback: MTP > 35 Gbps and "
+                f"converged in every flip phase",
+                result.mean_goodput_bps > 35e9
+                and result.unconverged_phases() == 0)
+          for dialect, result in dialects.items()),
+        claim("ablations.atomicity_completes",
+              "atomic and sprayed placement both complete >= 95% of the "
+              "offered messages",
+              all(result.messages_completed
+                  >= 0.95 * result.messages_offered
+                  for result in atomicity.values())),
+    ])
+
+
+def run_extensions_report(quick: bool) -> str:
+    sections = []
+    trimming = compare_trimming()
+    sections.append(format_table(
+        ["loss handling", "20KB FCT (ms)", "NACK repairs",
+         "retransmissions"],
+        [[label, "never" if fct is None else f"{fct / 1e6:.2f}",
+          sender.nack_repairs, sender.retransmissions]
+         for label, (fct, sender) in trimming.items()],
+        title="Extension: NDP-style trimming, 20KB burst through an "
+              "8-packet bottleneck"))
+    fresh = compare_fresh_senders()
+    sections.append(format_table(
+        ["feedback", "messages", "p50 FCT (us)", "p99 FCT (us)",
+         "peak queue (pkts)"],
+        [[kind, len(fcts), f"{percentile(fcts, 50) / 1e3:.0f}",
+          f"{percentile(fcts, 99) / 1e3:.0f}", peak]
+         for kind, (fcts, peak) in fresh.items()],
+        title=f"Extension: {WAVES} waves of {SENDERS_PER_WAVE} fresh "
+              f"senders on a 10 Gbps pathlet, ECN vs explicit rate"))
+    rpcs = compare_message_independence()
+    sections.append(format_table(
+        ["transport", "small RPCs", "p50 (us)", "p99 (us)"],
+        [[name, len(latencies), f"{percentile(latencies, 50) / 1e3:.0f}",
+          f"{percentile(latencies, 99) / 1e3:.0f}"]
+         for name, latencies in rpcs.items()],
+        title="Extension: small-RPC latency behind 400KB elephants, one "
+              "TCP stream vs MTP messages"))
+    fig5 = Fig5Config(duration_ns=milliseconds(4 if quick else 8))
+    multipath = {protocol: run_fig5(protocol, fig5)
+                 for protocol in ("mptcp", "mtp")}
+    sections.append(format_table(
+        ["protocol", "mean goodput (Gbps)", "unconverged phases"],
+        [[protocol, f"{result.mean_goodput_bps / 1e9:.1f}",
+          result.unconverged_phases()]
+         for protocol, result in multipath.items()],
+        title="Extension: MPTCP on the Figure-5 alternating paths"))
+    sizes = header_sizes()
+    sections.append(format_table(
+        ["feedback entries", "MTP header (bytes)", "vs TCP (40B)"],
+        [[count, size, f"{size / TCP_HEADER_BYTES:.1f}x"]
+         for count, size in sizes.items()],
+        title="Extension: MTP header size vs pathlet feedback entries"))
+    (trim_fct, trim_sender), (drop_fct, drop_sender) = (
+        trimming["trimming"], trimming["drop_tail"])
+    (ecn_fcts, ecn_peak), (rate_fcts, rate_peak) = (fresh["ecn"],
+                                                    fresh["rate"])
+    tcp_rpcs, mtp_rpcs = rpcs["tcp-stream"], rpcs["mtp-messages"]
+    return _with_claims("\n\n".join(sections), [
+        claim("ext.ndp_trimming_nacks",
+              "trimming repairs by NACK; drop-tail sends no NACK",
+              trim_sender.nack_repairs > 0
+              and drop_sender.nack_repairs == 0),
+        claim("ext.ndp_trimming_faster",
+              "20KB FCT with trimming < 0.7x drop-tail's",
+              trim_fct is not None and drop_fct is not None
+              and trim_fct < 0.7 * drop_fct),
+        claim("ext.rcp_comparable_fct",
+              "every fresh sender completes; explicit-rate p99 FCT <= "
+              "1.25x ECN's",
+              len(ecn_fcts) == len(rate_fcts) == WAVES * SENDERS_PER_WAVE
+              and percentile(rate_fcts, 99)
+              <= 1.25 * percentile(ecn_fcts, 99)),
+        claim("ext.rcp_smaller_queue",
+              "explicit-rate peak queue < ECN's", rate_peak < ecn_peak),
+        claim("ext.message_independence",
+              "> 100 small RPCs each; MTP small-RPC p99 < 0.5x the TCP "
+              "stream's",
+              len(tcp_rpcs) > 100 and len(mtp_rpcs) > 100
+              and percentile(mtp_rpcs, 99)
+              < 0.5 * percentile(tcp_rpcs, 99)),
+        claim("ext.mtp_vs_mptcp", "MTP mean goodput > 1.05x MPTCP",
+              multipath["mtp"].mean_goodput_bps
+              > 1.05 * multipath["mptcp"].mean_goodput_bps),
+        claim("ext.mptcp_unconverged",
+              "MPTCP misses 80% of the plateau in some flip phase",
+              multipath["mptcp"].unconverged_phases() > 0),
+        claim("ext.header_outgrows_tcp",
+              "one feedback entry makes the MTP header larger than TCP's",
+              sizes[1] > TCP_HEADER_BYTES),
+        claim("ext.header_linear",
+              "8 feedback entries stay below 8x TCP's header",
+              sizes[8] < 8 * TCP_HEADER_BYTES),
+    ])
+
+
+def run_sweep_flip_report(quick: bool) -> str:
+    sweep = sweep_flip_period(milliseconds(4 if quick else 4.5))
+    rows = []
+    claims = []
+    for period, results in sweep.items():
+        dctcp = results["dctcp"].mean_goodput_bps
+        mtp = results["mtp"].mean_goodput_bps
+        rows.append([period, f"{dctcp / 1e9:.1f}", f"{mtp / 1e9:.1f}",
+                     f"{mtp / dctcp:.2f}x"])
+        claims.append(claim(
+            f"sweep_flip.mtp_wins_{period}us",
+            f"{period} us flips: MTP > 1.1x DCTCP and > 20 Gbps",
+            mtp > 1.1 * dctcp and mtp > 20e9))
+    return _with_claims(format_table(
+        ["flip period (us)", "DCTCP (Gbps)", "MTP (Gbps)",
+         "MTP advantage"], rows,
+        title="Sweep: Figure-5 goodput vs path-alternation period"),
+        claims)
+
+
+def run_sweep_load_report(quick: bool) -> str:
+    sweep = sweep_fig6_load(milliseconds(2 if quick else 6))
+    p99 = {load: {system: result.p99_fct_ns()
+                  for system, result in results.items()}
+           for load, results in sweep.items()}
+    rows = [[f"{load:.2f}", *(f"{tails[system] / 1e3:.0f}"
+                              for system in ("ecmp", "spray", "mtp_lb"))]
+            for load, tails in p99.items()]
+    loads = list(p99)
+    return _with_claims(format_table(
+        ["offered load", "ECMP p99 (us)", "spray p99 (us)",
+         "MTP LB p99 (us)"], rows,
+        title="Sweep: Figure-6 tail FCT vs offered load (seed 3)"), [
+        claim("sweep_load.mtp_never_loses",
+              "every load: MTP LB p99 FCT <= 1.1x ECMP's and spraying's",
+              all(tails["mtp_lb"] <= 1.1 * tails["ecmp"]
+                  and tails["mtp_lb"] <= 1.1 * tails["spray"]
+                  for tails in p99.values())),
+        claim("sweep_load.mtp_wins_below_heavy",
+              f"loads {loads[0]:.2f} and {loads[1]:.2f}: MTP LB p99 FCT < "
+              f"ECMP's and spraying's",
+              all(p99[load]["mtp_lb"] < p99[load]["ecmp"]
+                  and p99[load]["mtp_lb"] < p99[load]["spray"]
+                  for load in loads[:2])),
+    ])
 
 
 EXPERIMENTS = {
@@ -190,6 +448,9 @@ EXPERIMENTS = {
     "fig7": run_fig7_report,
     "fig8": run_fig8_report,
     "ablations": run_ablations_report,
+    "extensions": run_extensions_report,
+    "sweep_flip": run_sweep_flip_report,
+    "sweep_load": run_sweep_load_report,
 }
 
 

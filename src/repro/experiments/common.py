@@ -12,7 +12,7 @@ from ..net.node import Switch
 from ..sim.units import GBPS, format_rate
 
 __all__ = ["register_pathlets", "attach_exclusion_lookup", "format_table",
-           "series_stats", "ID_STREAMS", "reset_id_streams"]
+           "claim", "series_stats", "ID_STREAMS", "reset_id_streams"]
 
 #: Process-global ID streams: (module path, attribute).  Their values reach
 #: simulated behaviour — ECMP hashes flow labels built from host addresses
@@ -77,6 +77,17 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
         lines.append("  ".join(value.ljust(width)
                                for value, width in zip(row, widths)))
     return "\n".join(lines)
+
+
+def claim(claim_id: str, statement: str, holds: bool) -> str:
+    """One checkable paper claim as a report line.
+
+    ``[CLAIM] <id>: <statement> ... HOLDS`` (or ``FAILS``).  Reports end
+    with these lines, computed from their own results; the tier-1 test
+    parses them, so ``claim_id`` must not contain spaces or colons.
+    """
+    verdict = "HOLDS" if holds else "FAILS"
+    return f"[CLAIM] {claim_id}: {statement} ... {verdict}"
 
 
 def series_stats(series: Sequence[Tuple[int, float]],

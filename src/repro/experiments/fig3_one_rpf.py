@@ -8,7 +8,7 @@ is noisy and the link underutilized.  A persistent connection per host
 as Section 2 argues, then loses inter-message independence.
 
 The driver runs one mode and reports the throughput time series; the
-benchmark compares "per_message" against "persistent".
+runner compares "per_message" against "persistent".
 """
 
 from __future__ import annotations

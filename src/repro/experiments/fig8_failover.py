@@ -21,8 +21,8 @@ style, and slow-start again, while MTP's per-pathlet state retransmits
 within its 100 us RTO floor onto the backup pathlet's already-converged
 window — and its consecutive-loss failover excludes the dead pathlet via
 ``path_exclude`` even before the switch's own detection fires.  The
-headline claim checked by the CI smoke job: **MTP's time-to-recovery is
-strictly below TCP's.**
+headline claim, ``fig8.mtp_recovers_faster`` in the runner's report:
+**MTP's time-to-recovery is strictly below TCP's.**
 
 Runs default to a :class:`~repro.analysis.SanitizingSimulator` with a
 :class:`~repro.analysis.PacketLedger`, so every faulted packet must be

@@ -2,8 +2,8 @@
 
 :func:`sweep_map` (in :mod:`repro.perf.parallel`) fans simulation points
 out over worker processes and merges the results in input order.  It
-backs ``python -m repro.experiments --jobs N``, the ablation drivers,
-and the sweep benchmarks.
+backs ``python -m repro.experiments --jobs N`` and the ablation
+drivers.
 """
 
 from .parallel import SweepError, SweepFailure, SweepOutcome, sweep_map

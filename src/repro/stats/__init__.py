@@ -2,9 +2,9 @@
 
 from .metrics import (FctCollector, cdf_points, jain_fairness, percentile,
                       summarize)
-from .timeseries import (convergence_times, moving_average, phase_slices,
-                         resample, time_weighted_mean)
+from .timeseries import (convergence_times, phase_slices,
+                         time_weighted_mean)
 
 __all__ = ["percentile", "jain_fairness", "summarize", "FctCollector",
-           "cdf_points", "moving_average", "resample", "phase_slices",
-           "convergence_times", "time_weighted_mean"]
+           "cdf_points", "phase_slices", "convergence_times",
+           "time_weighted_mean"]

@@ -1,4 +1,4 @@
-"""Time-series utilities: smoothing, resampling, and convergence metrics.
+"""Time-series utilities: time-weighted means and convergence metrics.
 
 The Figure-5 claim is not only "higher goodput" but "converges faster":
 after every path flip the transport should return to the new path's
@@ -11,42 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["moving_average", "resample", "phase_slices",
-           "convergence_times", "time_weighted_mean"]
+__all__ = ["phase_slices", "convergence_times", "time_weighted_mean"]
 
 Series = Sequence[Tuple[int, float]]
-
-
-def moving_average(series: Series, window: int) -> List[Tuple[int, float]]:
-    """Simple trailing moving average over ``window`` samples."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[Tuple[int, float]] = []
-    acc = 0.0
-    values: List[float] = []
-    for time, value in series:
-        values.append(value)
-        acc += value
-        if len(values) > window:
-            acc -= values.pop(0)
-        out.append((time, acc / len(values)))
-    return out
-
-
-def resample(series: Series, interval_ns: int) -> List[Tuple[int, float]]:
-    """Bin a series onto a regular grid, averaging samples per bin."""
-    if interval_ns <= 0:
-        raise ValueError("interval must be positive")
-    if not series:
-        return []
-    bins: dict = {}
-    counts: dict = {}
-    for time, value in series:
-        index = time // interval_ns
-        bins[index] = bins.get(index, 0.0) + value
-        counts[index] = counts.get(index, 0) + 1
-    return [(index * interval_ns, bins[index] / counts[index])
-            for index in sorted(bins)]
 
 
 def time_weighted_mean(series: Series, end_ns: Optional[int] = None) -> float:

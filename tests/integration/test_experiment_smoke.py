@@ -1,7 +1,8 @@
 """Smoke tests: every experiment driver runs end to end at tiny scale.
 
-The benchmarks run the full configurations; these keep the drivers honest
-inside the fast test suite (wiring, result objects, edge cases).
+``python -m repro.experiments`` runs the paper-scale configurations (and
+``test_paper_claims.py`` checks its ``--quick`` claims); these keep the
+drivers honest at tiny scale (wiring, result objects, edge cases).
 """
 
 import pytest

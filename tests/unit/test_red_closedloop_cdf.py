@@ -1,14 +1,10 @@
-"""RED queue, closed-loop load generator, and CDF helper units."""
+"""RED queue and CDF helper units."""
 
 import random
 
 import pytest
 
-from repro.apps import ClosedLoopLoad
-from repro.core import MtpStack
-from repro.net import (ECT_CAPABLE, DropTailQueue, Network, Packet,
-                       RedQueue)
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.net import ECT_CAPABLE, Packet, RedQueue
 from repro.stats import cdf_points
 
 
@@ -61,70 +57,6 @@ class TestRedQueue:
             RedQueue(capacity=10, min_threshold=6, max_threshold=5)
         with pytest.raises(ValueError):
             RedQueue(capacity=10, min_threshold=2, max_threshold=20)
-
-
-class TestClosedLoop:
-    def build(self, sim, **kwargs):
-        net = Network(sim)
-        a = net.add_host("a")
-        b = net.add_host("b")
-        net.connect(a, b, gbps(10), microseconds(5),
-                    queue_factory=lambda: DropTailQueue(128, 20))
-        net.install_routes()
-        MtpStack(b).endpoint(port=100)
-        sender = MtpStack(a).endpoint()
-
-        def issue(done):
-            sender.send_message(b.address, 100, 2000,
-                                on_complete=lambda state: done())
-
-        return ClosedLoopLoad(sim, issue, **kwargs)
-
-    def test_fixed_concurrency(self, sim):
-        load = self.build(sim, concurrency=4)
-        load.start()
-        sim.run(until=milliseconds(2))
-        assert load.outstanding <= 4
-        assert load.completed > 10
-
-    def test_max_requests(self, sim):
-        load = self.build(sim, concurrency=2, max_requests=10)
-        load.start()
-        sim.run(until=milliseconds(20))
-        assert load.issued == 10
-        assert load.completed == 10
-
-    def test_think_time_slows_rate(self, sim):
-        fast = self.build(sim, concurrency=1)
-        fast.start()
-        sim.run(until=milliseconds(2))
-        slow_sim = Simulator()
-        slow = self.build(slow_sim, concurrency=1,
-                          think_time_ns=microseconds(200))
-        slow.start()
-        slow_sim.run(until=milliseconds(2))
-        assert slow.completed < fast.completed
-
-    def test_latencies_recorded(self, sim):
-        load = self.build(sim, concurrency=1, max_requests=5)
-        load.start()
-        sim.run(until=milliseconds(20))
-        assert len(load.latencies_ns) == 5
-        assert all(latency > 0 for latency in load.latencies_ns)
-
-    def test_stop(self, sim):
-        load = self.build(sim, concurrency=2)
-        load.start()
-        sim.schedule(microseconds(200), load.stop)
-        sim.run(until=milliseconds(5))
-        issued_at_stop = load.issued
-        assert load.completed <= issued_at_stop
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            self.build(sim, concurrency=0)
-        with pytest.raises(ValueError):
-            self.build(sim, think_time_ns=-1)
 
 
 class TestCdfPoints:

@@ -1,37 +1,8 @@
-"""Time-series helpers: smoothing, resampling, convergence metrics."""
+"""Time-series helpers: time-weighted means, convergence metrics."""
 
 import pytest
 
-from repro.stats import (convergence_times, moving_average, phase_slices,
-                         resample, time_weighted_mean)
-
-
-class TestMovingAverage:
-    def test_smooths(self):
-        series = [(0, 0.0), (1, 10.0), (2, 0.0), (3, 10.0)]
-        smoothed = moving_average(series, window=2)
-        assert smoothed[-1] == (3, 5.0)
-
-    def test_window_one_is_identity(self):
-        series = [(0, 1.0), (1, 2.0)]
-        assert moving_average(series, 1) == series
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average([], 0)
-
-
-class TestResample:
-    def test_bins_average(self):
-        series = [(0, 2.0), (5, 4.0), (10, 6.0)]
-        assert resample(series, 10) == [(0, 3.0), (10, 6.0)]
-
-    def test_empty(self):
-        assert resample([], 10) == []
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            resample([(0, 1.0)], 0)
+from repro.stats import convergence_times, phase_slices, time_weighted_mean
 
 
 class TestTimeWeightedMean:

@@ -1,4 +1,4 @@
-"""Shared helpers for integration tests and benchmarks."""
+"""Shared helpers for integration tests."""
 
 from repro.net import DropTailQueue, Network
 from repro.sim import Simulator, gbps, microseconds
