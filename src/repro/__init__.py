@@ -8,7 +8,7 @@ regenerates every table and figure of the paper's evaluation.
 
 Package map:
 
-* :mod:`repro.sim`         -- event kernel, virtual time, RNG, tracing
+* :mod:`repro.sim`         -- event kernel, virtual time, RNG, units
 * :mod:`repro.net`         -- packets, queues, links, switches, topologies
 * :mod:`repro.transport`   -- TCP (NewReno), DCTCP, UDP baselines
 * :mod:`repro.core`        -- **MTP**: messages, header, pathlets, CC

@@ -24,8 +24,7 @@ in the first ten lines disables the whole file.
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Type
+from typing import Dict, List, Type
 
 from .base import LintContext, Rule
 
@@ -59,11 +58,3 @@ RULE_CATALOGUE: Dict[str, str] = {
     "SIM005": "no iteration over bare sets (nondeterministic order)",
     "SIM006": "hot-path classes must declare __slots__",
 }
-
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Yield every function/lambda node in ``tree`` (helper for rules)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            yield node

@@ -225,13 +225,6 @@ class PacketLedger:
         """Called by :class:`~repro.net.link.Port` at construction."""
         self._ports.append(port)
 
-    def register_network(self, network) -> None:
-        """Register every existing port of a built network (late attach)."""
-        for link in network.links:
-            for port in (link.port_a, link.port_b):
-                if port not in self._ports:
-                    self._ports.append(port)
-
     # -- life events (called from repro.net) -----------------------------
 
     def packet_injected(self, packet: Packet, component: str) -> None:
@@ -290,10 +283,6 @@ class PacketLedger:
                 self.packet_injected(packet, f"offload@{component}")
 
     # -- audit -----------------------------------------------------------
-
-    def in_flight(self) -> int:
-        """Packets injected but not yet terminal."""
-        return len(self._live)
 
     def finalize(self, sim: Optional[Simulator] = None) -> ConservationReport:
         """End-of-run audit: conservation, queue accounting, leak hunt.

@@ -1,18 +1,15 @@
-"""Application layer: workloads, RPC, KVS, tenants."""
+"""Application layer: workloads, RPC, KVS, TCP message framing."""
 
 from .framing import TcpMessageFraming
 from .kvs import REQUEST_SIZE, KvRequest, KvResponse, KvsClient, KvsServer
 from .rpc import RpcClient, RpcRequest, RpcResponse, RpcServer
-from .tenants import Tenant, TenantSet
-from .workload import (EmpiricalSize, FixedSize, LogUniformSize,
-                       MessageWorkload, PoissonArrivals, UniformArrivals,
-                       UniformSize, skewed_sizes)
+from .workload import (FixedSize, LogUniformSize, MessageWorkload,
+                       PoissonArrivals, UniformArrivals)
 
 __all__ = [
-    "FixedSize", "UniformSize", "LogUniformSize", "EmpiricalSize",
-    "skewed_sizes", "PoissonArrivals", "UniformArrivals", "MessageWorkload",
+    "FixedSize", "LogUniformSize", "PoissonArrivals", "UniformArrivals",
+    "MessageWorkload",
     "RpcServer", "RpcClient", "RpcRequest", "RpcResponse",
     "KvsServer", "KvsClient", "KvRequest", "KvResponse", "REQUEST_SIZE",
-    "Tenant", "TenantSet",
     "TcpMessageFraming",
 ]

@@ -136,11 +136,6 @@ class KvsClient:
         """Issue a PUT; returns the request id."""
         return self._send("PUT", key, value, value_size, on_response)
 
-    @property
-    def outstanding(self) -> int:
-        """Requests awaiting a response."""
-        return len(self._pending)
-
     def hits_by_origin(self) -> Dict[str, int]:
         """How many responses came from each server ("cache"/"server")."""
         origins: Dict[str, int] = {}

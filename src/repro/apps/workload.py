@@ -2,24 +2,22 @@
 
 The paper's Figure-6 workload is "a mix of message sizes (10 KB-1 GB)...
 skewed toward short messages as per existing studies [DCTCP]".
-:func:`skewed_sizes` reproduces that shape as a log-uniform-weighted
-empirical distribution; the cap is a knob because a 1 GB message is ~700k
-simulated packets (the default keeps runs tractable without changing who
-wins — the tail is driven by the skew, not the cap).
+:class:`LogUniformSize` reproduces that shape; the Figure-6 driver caps
+it because a 1 GB message is ~700k simulated packets (the tail is driven
+by the skew, not the cap).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from ..sim.engine import Simulator
-from ..sim.units import KIB, MIB, SECOND
+from ..sim.units import SECOND
 
-__all__ = ["FixedSize", "UniformSize", "LogUniformSize", "EmpiricalSize",
-           "skewed_sizes", "PoissonArrivals", "UniformArrivals",
-           "MessageWorkload"]
+__all__ = ["FixedSize", "LogUniformSize", "PoissonArrivals",
+           "UniformArrivals", "MessageWorkload"]
 
 
 class SizeDistribution:
@@ -48,22 +46,6 @@ class FixedSize(SizeDistribution):
         return float(self.size)
 
 
-class UniformSize(SizeDistribution):
-    """Sizes uniform in ``[low, high]``."""
-
-    def __init__(self, low: int, high: int):
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
-
 class LogUniformSize(SizeDistribution):
     """Sizes log-uniform in ``[low, high]``: heavy skew toward small.
 
@@ -88,46 +70,6 @@ class LogUniformSize(SizeDistribution):
             return float(self.low)
         span = math.log(self.high) - math.log(self.low)
         return (self.high - self.low) / span
-
-
-class EmpiricalSize(SizeDistribution):
-    """Sizes drawn from explicit ``(size, probability)`` points."""
-
-    def __init__(self, points: Sequence[Tuple[int, float]]):
-        if not points:
-            raise ValueError("need at least one point")
-        total = sum(weight for _, weight in points)
-        if total <= 0:
-            raise ValueError("probabilities must sum to a positive value")
-        self.sizes = [size for size, _ in points]
-        self.weights = [weight / total for _, weight in points]
-        self._cumulative: List[float] = []
-        acc = 0.0
-        for weight in self.weights:
-            acc += weight
-            self._cumulative.append(acc)
-
-    def sample(self, rng: random.Random) -> int:
-        draw = rng.random()
-        for size, bound in zip(self.sizes, self._cumulative):
-            if draw <= bound:
-                return size
-        return self.sizes[-1]
-
-    def mean(self) -> float:
-        return sum(size * weight
-                   for size, weight in zip(self.sizes, self.weights))
-
-
-def skewed_sizes(low: int = 10 * KIB, high: int = 1024 * MIB
-                 ) -> LogUniformSize:
-    """The Figure-6 message-size mix: 10 KB to (by default) 1 GB, log-skewed.
-
-    Callers running on a laptop should pass a smaller ``high`` (e.g. 2 MiB);
-    the distribution's *shape* — most messages short, bytes dominated by
-    elephants — is preserved at any cap.
-    """
-    return LogUniformSize(low, high)
 
 
 class ArrivalProcess:

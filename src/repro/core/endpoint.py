@@ -109,7 +109,6 @@ class MtpStack(TransportStack):
         header: MtpHeader = packet.header
         endpoint = self._endpoints.get(header.dst_port)
         if endpoint is None:
-            self.host.counters.add("mtp_unreachable")
             return
         if header.kind == KIND_DATA:
             endpoint._handle_data(packet, header)

@@ -135,8 +135,3 @@ class BlobReceiver:
             del self._progress[chunk.blob_id]
             self.blobs_completed += 1
             self.on_blob(self, chunk.blob_id, state["total"])
-
-    def blob_progress(self, blob_id: int) -> int:
-        """Bytes received so far for an incomplete blob (0 if unknown)."""
-        state = self._progress.get(blob_id)
-        return state["bytes"] if state else 0

@@ -23,12 +23,11 @@ import argparse
 import sys
 import time
 
-from ..perf import sweep_map
 from ..sim import milliseconds
 from ..stats import percentile
 from .ablations import (ablate_feedback_types, ablate_message_atomicity,
                         ablate_pathlet_granularity)
-from .common import claim, format_table, reset_id_streams
+from .common import claim, format_table, reset_id_streams, sweep_map
 from .extensions import (SENDERS_PER_WAVE, TCP_HEADER_BYTES, WAVES,
                          compare_fresh_senders, compare_message_independence,
                          compare_trimming, header_sizes, sweep_fig6_load,
@@ -457,7 +456,7 @@ EXPERIMENTS = {
 def _run_experiment(job):
     """Sweep worker: one ``(name, quick)`` point -> ``(name, report, s)``.
 
-    Module-level so :func:`repro.perf.sweep_map` can pickle it into
+    Module-level so :func:`.common.sweep_map` can pickle it into
     worker processes when ``--jobs N`` fans experiments out.
     """
     name, quick = job

@@ -12,7 +12,7 @@ decisions").
 
 Each driver takes a ``jobs`` argument: ablation points are independent
 simulations, so they fan out over worker processes via
-:func:`repro.perf.sweep_map`.  Results are merged in point order —
+:func:`.common.sweep_map`.  Results are merged in point order —
 output is identical for any ``jobs`` value.
 """
 
@@ -24,8 +24,8 @@ from ..core import (BlobReceiver, BlobSender, DelayFeedbackSource,
                     EcnFeedbackSource, MtpStack, PathletRegistry,
                     RateFeedbackSource)
 from ..net import DropTailQueue, Network, RateMonitor
-from ..perf import sweep_map
 from ..sim import Simulator, gbps, microseconds, milliseconds
+from .common import sweep_map
 from .fig5_multipath import Fig5Config, Fig5Result, run_fig5
 from .fig6_loadbalance import Fig6Config, Fig6Result, run_fig6
 

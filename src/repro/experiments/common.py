@@ -1,18 +1,21 @@
-"""Shared wiring and reporting helpers for the experiment drivers."""
+"""Shared wiring, reporting and sweep helpers for the experiment drivers."""
 
 from __future__ import annotations
 
 import importlib
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.pathlets import EcnFeedbackSource, FeedbackSource, PathletRegistry
-from ..net.link import Port
+from ..core.pathlets import PathletRegistry
 from ..net.node import Switch
-from ..sim.units import GBPS, format_rate
 
-__all__ = ["register_pathlets", "attach_exclusion_lookup", "format_table",
-           "claim", "series_stats", "ID_STREAMS", "reset_id_streams"]
+__all__ = ["attach_exclusion_lookup", "format_table", "claim",
+           "series_stats", "sweep_map", "ID_STREAMS", "reset_id_streams"]
+
+_ItemT = TypeVar("_ItemT")
+_ResultT = TypeVar("_ResultT")
 
 #: Process-global ID streams: (module path, attribute).  Their values reach
 #: simulated behaviour — ECMP hashes flow labels built from host addresses
@@ -39,19 +42,6 @@ def reset_id_streams() -> None:
     for module_path, attribute in ID_STREAMS:
         setattr(importlib.import_module(module_path), attribute,
                 itertools.count(1))
-
-
-def register_pathlets(registry: PathletRegistry, ports: Iterable[Port],
-                      source_factory=None,
-                      tc_classifier=None) -> List[int]:
-    """Register each port as its own pathlet; returns the ids in order.
-
-    ``source_factory(port) -> FeedbackSource`` defaults to a 20-packet ECN
-    source, matching the experiments' switch configuration.
-    """
-    factory = source_factory or (lambda port: EcnFeedbackSource(20))
-    return [registry.register(port, factory(port), tc_classifier)
-            for port in ports]
 
 
 def attach_exclusion_lookup(switch: Switch,
@@ -108,6 +98,30 @@ def series_stats(series: Sequence[Tuple[int, float]],
     }
 
 
-def gbps_str(rate_bps: float) -> str:
-    """Format a rate for report rows."""
-    return f"{rate_bps / GBPS:.2f}"
+def sweep_map(worker: Callable[[_ItemT], _ResultT],
+              items: Sequence[_ItemT], jobs: int = 1) -> List[_ResultT]:
+    """``[worker(item) for item in items]``, optionally across processes.
+
+    Simulation points are independent: each builds its own simulator and
+    draws randomness only from seeds in its item.  So the points can run
+    in ``jobs`` worker processes, and the results still come back in input
+    order (``executor.map`` semantics, never completion order): the
+    merged output is the same for any ``jobs``.  ``worker`` must be a
+    module-level (picklable) callable when ``jobs > 1``.  ``jobs <= 1``,
+    or a single item, runs in-process.  A worker's exception propagates
+    as itself.
+
+    Workers are forked where the platform offers it: the kernel holds no
+    threads or descriptors that fork poorly, and fork skips re-importing
+    the package in every worker.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [worker(item) for item in items]
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=context) as pool:
+        return list(pool.map(worker, items, chunksize=1))

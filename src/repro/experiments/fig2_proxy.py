@@ -64,10 +64,6 @@ class Fig2Result:
         return max((value for _, value in self.buffer_series), default=0.0)
 
     @property
-    def final_buffer_bytes(self) -> float:
-        return self.buffer_series[-1][1] if self.buffer_series else 0.0
-
-    @property
     def server_goodput_bps(self) -> float:
         return self.server_received * 8 * 1e9 / self.duration_ns
 

@@ -82,21 +82,6 @@ class Fig5Result:
     def mean_goodput_bps(self) -> float:
         return self.stats["mean"]
 
-    def mean_convergence_ns(self) -> Optional[float]:
-        """Average per-phase time to reach 80% of the phase plateau.
-
-        The paper's second Figure-5 claim: MTP converges faster after each
-        path flip.  ``None`` when no phase ever converged.
-        """
-        from ..stats import convergence_times
-        times = convergence_times(self.series, self.config.flip_period_ns,
-                                  target_fraction=0.8,
-                                  start_ns=self.config.warmup_ns)
-        converged = [time for time in times if time is not None]
-        if not converged:
-            return None
-        return sum(converged) / len(converged)
-
     def unconverged_phases(self) -> int:
         """How many flip phases never reached 80% of their plateau."""
         from ..stats import convergence_times

@@ -118,11 +118,6 @@ class Port:
         """Packets waiting in the egress queue (excludes the one on the wire)."""
         return len(self.queue)
 
-    @property
-    def busy(self) -> bool:
-        """True while a packet is being serialized."""
-        return self._busy
-
     def _transmit_next(self) -> None:
         if not self.up:
             self._busy = False

@@ -13,7 +13,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
                     Sequence)
 
 from ..sim.engine import Simulator
-from ..sim.trace import Counter
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,7 +52,6 @@ class Node:
         self.name = name
         self.address: int = next(_addresses)
         self.ports: List["Port"] = []
-        self.counters = Counter()
 
     def attach_port(self, port: "Port") -> None:
         """Register a newly created port (called by :class:`~repro.net.link.Link`)."""
@@ -86,10 +84,6 @@ class Host(Node):
         """Attach a transport endpoint for packets labelled ``protocol``."""
         self._protocols[protocol] = handler
 
-    def protocol(self, name: str) -> ProtocolHandler:
-        """Look up a registered transport endpoint."""
-        return self._protocols[name]
-
     def add_route(self, dst_address: int, port: "Port") -> None:
         """Pin traffic for ``dst_address`` to a specific port (multihomed hosts)."""
         self._routes[dst_address] = port
@@ -105,8 +99,6 @@ class Host(Node):
 
     def send(self, packet: Packet) -> bool:
         """Transmit ``packet`` out of the appropriate port."""
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", packet.size)
         if self.sim.ledger is not None:
             self.sim.ledger.packet_injected(packet, self.name)
         return self.egress_port(packet.dst).send(packet)
@@ -116,7 +108,6 @@ class Host(Node):
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
         if packet.dst != self.address:
-            self.counters.add("misrouted")
             if ledger is not None:
                 ledger.packet_dropped(packet, self.name, "misrouted")
             return
@@ -124,15 +115,11 @@ class Host(Node):
             # The checksum stand-in: damaged payloads are detected here
             # and dropped, never delivered to the transport.  Recovery is
             # the transport's job (retransmission after RTO/NACK).
-            self.counters.add("checksum_drops")
             if ledger is not None:
                 ledger.packet_dropped(packet, self.name, "checksum")
             return
-        self.counters.add("rx_packets")
-        self.counters.add("rx_bytes", packet.size)
         handler = self._protocols.get(packet.protocol)
         if handler is None:
-            self.counters.add("no_protocol")
             if ledger is not None:
                 ledger.packet_dropped(packet, self.name, "no_protocol")
             return
@@ -200,7 +187,6 @@ class Switch(Node):
                 packet = port.queue.dequeue(self.sim.now)
                 if packet is None:
                     break
-                self.counters.add("crash_flushed")
                 if ledger is not None:
                     ledger.packet_dropped(packet, port.name, "switch_crash")
             port.set_down()
@@ -231,12 +217,10 @@ class Switch(Node):
             # A crashed switch is a black hole: anything that still
             # reaches it (e.g. delivered in the same tick as the crash)
             # is dropped.
-            self.counters.add("switch_down_drops")
             if ledger is not None:
                 ledger.packet_arrived(packet, self.name)
                 ledger.packet_dropped(packet, self.name, "switch_down")
             return
-        self.counters.add("rx_packets")
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
         if self.record_hops:
@@ -254,7 +238,6 @@ class Switch(Node):
                     next_packets.extend(result)
             packets = next_packets
             if not packets:
-                self.counters.add("consumed")
                 return
         for current in packets:
             self.forward(current)
@@ -268,7 +251,6 @@ class Switch(Node):
         try:
             candidates = self.candidate_ports(packet.dst)
         except LookupError:
-            self.counters.add("no_route")
             if self.sim.ledger is not None:
                 self.sim.ledger.packet_dropped(packet, self.name, "no_route")
             return
@@ -277,10 +259,7 @@ class Switch(Node):
             port = candidates[0]
         else:
             port = self.selector.select(packet, candidates, self.sim.now)
-        if port.send(packet):
-            self.counters.add("forwarded")
-        else:
-            self.counters.add("dropped")
+        port.send(packet)
 
     def _honour_exclusions(self, packet: Packet,
                            candidates: List["Port"]) -> List["Port"]:
@@ -299,6 +278,5 @@ class Switch(Node):
         allowed = [port for port in candidates
                    if self.pathlet_lookup(port) not in excluded_ids]
         if allowed:
-            self.counters.add("exclusions_honoured")
             return allowed
         return candidates

@@ -66,13 +66,6 @@ class Network:
         self.links.append(link)
         return link
 
-    def host(self, name: str) -> Host:
-        """Look up a host by name."""
-        node = self.nodes[name]
-        if not isinstance(node, Host):
-            raise TypeError(f"{name!r} is not a Host")
-        return node
-
     def switch(self, name: str) -> Switch:
         """Look up a switch by name."""
         node = self.nodes[name]

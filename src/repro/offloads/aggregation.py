@@ -131,8 +131,3 @@ class AggregationOffload:
                            tc=packet.entity)
             self.chunks_emitted += 1
         return []
-
-    @property
-    def open_slots(self) -> int:
-        """(round, chunk) aggregations currently in progress."""
-        return len(self._slots)

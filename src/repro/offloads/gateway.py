@@ -206,8 +206,3 @@ class TcpMtpGateway(Host):
                 on_connected=on_connected,
                 on_data=lambda c, n: self._relay_bytes(session, "rev", n),
                 on_close=lambda c: self._relay_fin(session, "rev")))
-
-    def total_bytes_bridged(self) -> int:
-        """Bytes relayed across all sessions (both directions)."""
-        return sum(session.bytes_bridged
-                   for session in self._sessions.values())

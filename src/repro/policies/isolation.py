@@ -50,10 +50,6 @@ class TrafficClassMap:
             self._classes[entity] = tc
         return tc
 
-    def entities(self) -> Dict[str, int]:
-        """Snapshot of all known assignments."""
-        return dict(self._classes)
-
 
 def isolation_queue_factory(mode: str, capacity: int,
                             ecn_threshold: Optional[int] = None

@@ -1,19 +1,17 @@
-"""Discrete-event simulation kernel: clock, events, timers, RNG, counters."""
+"""Discrete-event simulation kernel: clock, events, timers, RNG, units."""
 
 from .engine import EventHandle, SimulationError, Simulator, Timer
 from .rng import SeedSequence
-from .trace import Counter
 from .units import (GBPS, GIB, KIB, MBPS, MIB, MICROSECOND, MILLISECOND,
-                    NANOSECOND, SECOND, bytes_in_interval, format_rate,
-                    format_time, gbps, mbps, microseconds, milliseconds,
-                    nanoseconds, seconds, throughput_bps, transmission_delay)
+                    NANOSECOND, SECOND, format_rate, format_time, gbps,
+                    mbps, microseconds, milliseconds, nanoseconds, seconds,
+                    transmission_delay)
 
 __all__ = [
     "Simulator", "EventHandle", "Timer", "SimulationError",
-    "SeedSequence", "Counter",
+    "SeedSequence",
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
     "GBPS", "MBPS", "KIB", "MIB", "GIB",
     "nanoseconds", "microseconds", "milliseconds", "seconds",
-    "gbps", "mbps", "transmission_delay", "bytes_in_interval",
-    "throughput_bps", "format_time", "format_rate",
+    "gbps", "mbps", "transmission_delay", "format_time", "format_rate",
 ]

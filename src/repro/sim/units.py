@@ -75,20 +75,6 @@ def transmission_delay(nbytes: int, rate_bps: int) -> int:
     return -(-bits * SECOND // rate_bps)  # ceil division
 
 
-def bytes_in_interval(rate_bps: int, interval_ns: int) -> int:
-    """How many whole bytes a link of ``rate_bps`` carries in ``interval_ns``."""
-    if rate_bps < 0 or interval_ns < 0:
-        raise ValueError("rate and interval must be non-negative")
-    return rate_bps * interval_ns // (8 * SECOND)
-
-
-def throughput_bps(nbytes: int, interval_ns: int) -> float:
-    """Average throughput in bit/s for ``nbytes`` delivered over ``interval_ns``."""
-    if interval_ns <= 0:
-        return 0.0
-    return nbytes * 8 * SECOND / interval_ns
-
-
 def format_time(time_ns: int) -> str:
     """Render a tick count as a human-readable time string."""
     if time_ns >= SECOND:

@@ -3,27 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["percentile", "jain_fairness", "FctCollector", "summarize",
-           "cdf_points"]
-
-
-def cdf_points(values: Sequence[float],
-               n_points: int = 100) -> List[Tuple[float, float]]:
-    """Empirical CDF as ``(value, fraction <= value)`` points for plotting."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    if n_points >= n:
-        return [(value, (index + 1) / n)
-                for index, value in enumerate(ordered)]
-    points = []
-    for step in range(1, n_points + 1):
-        index = min(n - 1, round(step * n / n_points) - 1)
-        points.append((ordered[index], (index + 1) / n))
-    return points
+__all__ = ["percentile", "jain_fairness", "FctCollector", "summarize"]
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -105,26 +87,3 @@ class FctCollector:
              min_size: int = 0, max_size: Optional[int] = None) -> float:
         """Tail completion time (default p99) over the selected records."""
         return percentile(self.completions(tag, min_size, max_size), pct)
-
-    def slowdowns(self, ideal_ns_per_byte: float,
-                  tag: Optional[str] = None) -> List[float]:
-        """FCT normalized by an idealized transfer time per byte."""
-        return [fct / max(1.0, size * ideal_ns_per_byte)
-                for size, fct, record_tag in self._records
-                if tag is None or record_tag == tag]
-
-    def by_size_buckets(self, bounds: Iterable[int],
-                        tag: Optional[str] = None
-                        ) -> Dict[str, Dict[str, float]]:
-        """Summaries per size bucket; ``bounds`` are ascending upper edges."""
-        result: Dict[str, Dict[str, float]] = {}
-        previous = 0
-        for bound in list(bounds) + [None]:
-            label = (f"({previous}, {bound}]" if bound is not None
-                     else f"({previous}, inf)")
-            values = self.completions(tag, min_size=previous + 1,
-                                      max_size=bound)
-            if values:
-                result[label] = summarize(values)
-            previous = bound if bound is not None else previous
-        return result

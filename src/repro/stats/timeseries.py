@@ -1,4 +1,4 @@
-"""Time-series utilities: time-weighted means and convergence metrics.
+"""Time-series utilities: phase slicing and convergence metrics.
 
 The Figure-5 claim is not only "higher goodput" but "converges faster":
 after every path flip the transport should return to the new path's
@@ -11,27 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["phase_slices", "convergence_times", "time_weighted_mean"]
+__all__ = ["phase_slices", "convergence_times"]
 
 Series = Sequence[Tuple[int, float]]
-
-
-def time_weighted_mean(series: Series, end_ns: Optional[int] = None) -> float:
-    """Mean of a step series weighted by how long each value held."""
-    if not series:
-        return 0.0
-    total = 0.0
-    weight = 0
-    for (t0, value), (t1, _) in zip(series, series[1:]):
-        total += value * (t1 - t0)
-        weight += t1 - t0
-    if end_ns is not None and end_ns > series[-1][0]:
-        span = end_ns - series[-1][0]
-        total += series[-1][1] * span
-        weight += span
-    if weight == 0:
-        return series[0][1]
-    return total / weight
 
 
 def phase_slices(series: Series, period_ns: int,

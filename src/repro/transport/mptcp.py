@@ -120,11 +120,6 @@ class MptcpConnection:
 
     # -- sending -----------------------------------------------------------
 
-    @property
-    def established(self) -> bool:
-        """True once at least one subflow completed its handshake."""
-        return self._established
-
     def send(self, nbytes: int) -> None:
         """Queue ``nbytes`` on the meta-stream."""
         if nbytes <= 0:
@@ -323,7 +318,6 @@ class MptcpStack(TransportStack):
         if header.has(FLAG_SYN) and not header.has(FLAG_ACK):
             listener = self._listeners.get(header.dst_port)
             if listener is None:
-                self.host.counters.add("mptcp_rst")
                 return
             accept, options = listener
             meta_key = (packet.src, header.meta_id)
@@ -341,8 +335,6 @@ class MptcpStack(TransportStack):
             self._tcp._register(subflow)
             meta._attach_subflow(subflow)
             subflow.handle_segment(packet, header)
-            return
-        self.host.counters.add("mptcp_rst")
 
 
 #: (meta_id, is_client) -> MptcpConnection, for multi-hop peer lookup.

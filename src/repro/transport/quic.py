@@ -142,8 +142,6 @@ class QuicStack(TransportStack):
                 conn.callbacks = accept(conn)
                 self._connections[header.connection_id] = conn
                 conn._handle(packet, header)
-                return
-        self.host.counters.add("quic_unknown")
 
 
 class QuicConnection:

@@ -88,10 +88,8 @@ class RdmaStack:
     def handle_packet(self, packet: Packet) -> None:
         header: RdmaHeader = packet.header
         qp = self._queue_pairs.get(header.dst_qp)
-        if qp is None:
-            self.host.counters.add("rdma_unknown_qp")
-            return
-        qp._handle(packet, header)
+        if qp is not None:
+            qp._handle(packet, header)
 
     def send_packet(self, packet: Packet) -> bool:
         return self.host.send(packet)

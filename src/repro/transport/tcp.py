@@ -143,8 +143,6 @@ class TcpStack(TransportStack):
                 conn.callbacks = accept(conn)
                 self._register(conn)
                 conn.handle_segment(packet, header)
-                return
-        self.host.counters.add("tcp_rst")
 
 
 class TcpConnection:

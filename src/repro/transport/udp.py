@@ -74,10 +74,8 @@ class UdpStack(TransportStack):
     def handle_packet(self, packet: Packet) -> None:
         header: UdpHeader = packet.header
         sock = self._sockets.get(header.dst_port)
-        if sock is None:
-            self.host.counters.add("udp_unreachable")
-            return
-        sock._on_packet(packet, header)
+        if sock is not None:
+            sock._on_packet(packet, header)
 
 
 class UdpSocket:

@@ -1,17 +1,20 @@
 """Runtime sanitizers: SanitizingSimulator trips, queue audits, and the
 packet-conservation ledger (clean runs, accounted drops, injected leaks,
-and the fig2/fig5 acceptance runs from the issue).
+offloads that consume and inject packets, and fig2/fig5 runs).
 """
 
 import pytest
 
 from repro.analysis import (PacketLedger, SanitizerError, SanitizingSimulator,
                             audit_network_queues, audit_queue)
+from repro.apps import KvsClient, KvsServer
+from repro.core import MtpStack
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
 from repro.net import DropTailQueue, Network
 from repro.net.packet import Packet
-from repro.sim import Simulator, microseconds
+from repro.offloads import AggregationOffload, GradientChunk, InNetworkCache
+from repro.sim import Simulator, microseconds, milliseconds
 
 
 def noop(*args):
@@ -229,6 +232,64 @@ class TestPacketLedger:
         report = sim.ledger.finalize(sim)
         assert report.ok
         assert report.in_flight == 1
+
+
+def build_star(sim, n_hosts):
+    """``n_hosts`` MTP hosts around one switch."""
+    net = Network(sim)
+    switch = net.add_switch("sw")
+    hosts = [net.add_host(f"h{index}") for index in range(n_hosts)]
+    for host in hosts:
+        net.connect(host, switch, rate_bps=10**10, delay_ns=2000,
+                    queue_factory=lambda: DropTailQueue(128, 20))
+    net.install_routes()
+    return switch, hosts, [MtpStack(host) for host in hosts]
+
+
+class TestOffloadConservation:
+    """Offloads that consume packets and inject new ones keep the books:
+    each absorbed packet is counted as consumed, each spoofed ACK or
+    answer as injected, and nothing leaks."""
+
+    def test_cache_hits_consume_requests(self):
+        sim = SanitizingSimulator(ledger=PacketLedger())
+        switch, (client_host, server_host), (client_stack, server_stack) = \
+            build_star(sim, 2)
+        server = KvsServer(server_stack.endpoint(port=700))
+        server.put("hot", "value-hot", value_size=2000)
+        server.put("cold", "value-cold", value_size=2000)
+        cache = InNetworkCache(sim, service_port=700, capacity=8)
+        cache.insert("hot", "value-hot", 2000)
+        switch.add_processor(cache)
+        client = KvsClient(client_stack.endpoint(), server_host.address, 700)
+        for key in ("hot", "cold", "hot"):
+            client.get(key)
+        sim.run(until=milliseconds(5))
+        report = sim.ledger.finalize(sim)
+        assert report.ok, report.summary()
+        assert client.hits_by_origin() == {"cache": 2, "server": 1}
+        assert server.gets_served == 1
+        assert report.consumed == cache.hits == 2
+
+    def test_aggregation_consumes_chunks_and_injects_the_sum(self):
+        sim = SanitizingSimulator(ledger=PacketLedger())
+        switch, hosts, stacks = build_star(sim, 4)
+        received = []
+        stacks[0].endpoint(port=900, on_message=lambda endpoint, message:
+                           received.append(message.payload))
+        offload = AggregationOffload(sim, service_port=900, n_workers=3,
+                                     ps_address=hosts[0].address,
+                                     ps_port=900)
+        switch.add_processor(offload)
+        for worker_id, stack in enumerate(stacks[1:]):
+            stack.endpoint().send_message(
+                hosts[0].address, 900, 1000,
+                payload=GradientChunk(1, 0, worker_id, [1.0, 2.0]))
+        sim.run(until=milliseconds(5))
+        report = sim.ledger.finalize(sim)
+        assert report.ok, report.summary()
+        assert [chunk.values for chunk in received] == [[3.0, 6.0]]
+        assert report.consumed == offload.chunks_absorbed == 3
 
 
 class TestExperimentConservation:

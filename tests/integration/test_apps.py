@@ -1,10 +1,7 @@
-"""Application layer over MTP: RPC, KVS, tenants."""
+"""Application layer over MTP: RPC, KVS."""
 
-import pytest
-
-from repro.apps import (KvsClient, KvsServer, RpcClient, RpcServer, Tenant,
-                        TenantSet)
-from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
+from repro.apps import KvsClient, KvsServer, RpcClient, RpcServer
+from repro.core import MtpStack
 from repro.net import DropTailQueue, Network
 from repro.sim import Simulator, gbps, microseconds, milliseconds
 
@@ -115,70 +112,3 @@ class TestKvs:
         # Large value -> longer completion than a small one would take.
         assert client.responses[0][1] > microseconds(20)
 
-
-class TestTenants:
-    def build_shared_link(self, sim):
-        net = Network(sim)
-        sw1 = net.add_switch("sw1")
-        sw2 = net.add_switch("sw2")
-        bottleneck = net.connect(sw1, sw2, gbps(10), microseconds(5),
-                                 queue_factory=lambda: DropTailQueue(128,
-                                                                     20))
-        pairs = []
-        for name in ("t1", "t2"):
-            tx = net.add_host(f"{name}_tx")
-            rx = net.add_host(f"{name}_rx")
-            net.connect(tx, sw1, gbps(10), microseconds(1))
-            net.connect(sw2, rx, gbps(10), microseconds(1))
-            pairs.append((tx, rx))
-        net.install_routes()
-        # MTP deployments give the bottleneck a pathlet feedback source.
-        registry = PathletRegistry(sim)
-        registry.register(bottleneck.port_a, EcnFeedbackSource(20))
-        return net, pairs
-
-    def test_mtp_tenants_share_equally(self, sim):
-        net, pairs = self.build_shared_link(sim)
-        tenants = TenantSet([
-            Tenant("t1", pairs[0][0], pairs[0][1], streams=1,
-                   transport="mtp"),
-            Tenant("t2", pairs[1][0], pairs[1][1], streams=8,
-                   transport="mtp"),
-        ])
-        tenants.start_all()
-        sim.run(until=milliseconds(5))
-        goodputs = tenants.goodputs_bps(milliseconds(1), milliseconds(5))
-        ratio = goodputs["t2"] / goodputs["t1"]
-        assert 0.5 < ratio < 2.0  # per-TC windows, not per-flow
-
-    def test_dctcp_tenants_split_by_flow_count(self, sim):
-        net, pairs = self.build_shared_link(sim)
-        tenants = TenantSet([
-            Tenant("t1", pairs[0][0], pairs[0][1], streams=1,
-                   transport="dctcp"),
-            Tenant("t2", pairs[1][0], pairs[1][1], streams=8,
-                   transport="dctcp"),
-        ])
-        tenants.start_all()
-        sim.run(until=milliseconds(5))
-        goodputs = tenants.goodputs_bps(milliseconds(1), milliseconds(5))
-        assert goodputs["t2"] > 3 * goodputs["t1"]  # per-flow fairness
-
-    def test_validation(self, sim):
-        net, pairs = self.build_shared_link(sim)
-        with pytest.raises(ValueError):
-            Tenant("x", pairs[0][0], pairs[0][1], streams=0)
-        with pytest.raises(ValueError):
-            Tenant("x", pairs[0][0], pairs[0][1], transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            TenantSet([])
-        tenant = Tenant("dup", pairs[0][0], pairs[0][1])
-        with pytest.raises(ValueError):
-            TenantSet([tenant, Tenant("dup", pairs[1][0], pairs[1][1])])
-
-    def test_double_start_rejected(self, sim):
-        net, pairs = self.build_shared_link(sim)
-        tenant = Tenant("t1", pairs[0][0], pairs[0][1])
-        tenant.start()
-        with pytest.raises(RuntimeError):
-            tenant.start()

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.analysis import PacketLedger
 from repro.chaos import (ChaosController, ChaosSchedule, FaultEvent,
                          RecoveryMonitor)
 from repro.core import MtpStack
@@ -193,6 +194,7 @@ class TestChaosController:
         assert offload.packets > 0
 
     def test_corruption_window_detected_and_repaired(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw1, sw2 = chain(sim)
         schedule = ChaosSchedule().corruption_window(
             microseconds(10), microseconds(400), "sw2", 0.1)
@@ -206,8 +208,8 @@ class TestChaosController:
         corruptor = sw2.processors[0]
         assert corruptor.corrupted > 0
         assert not corruptor.active  # window closed
-        caught = (a.counters.get("checksum_drops")
-                  + b.counters.get("checksum_drops"))
+        caught = (ledger.drop_reasons.get("a:checksum", 0)
+                  + ledger.drop_reasons.get("b:checksum", 0))
         assert caught == corruptor.corrupted
         assert len(inbox) == 1
 

@@ -89,7 +89,7 @@ class TestDeadlines:
         sender.send_message(b.address, 100, 100)
         sim.run(until=milliseconds(5))
         assert sender.data_packets_sent == 1
-        assert a.counters.get("tx_packets") == 1
+        assert a.port_to(sw).packets_transmitted == 1
 
     def test_late_acks_for_aborted_message_ignored(self, sim):
         """ACKs arriving after an abort must not crash or double-count."""

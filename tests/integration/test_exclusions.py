@@ -7,6 +7,23 @@ from repro.net import (DropTailQueue, EcmpSelector, Network, Packet)
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
 
 
+class ExclusionTap:
+    """Counts packets reaching ``sw2`` with an exclude list, by ingress.
+
+    Every packet sw1 forwards with a non-empty exclude list is one whose
+    candidate ports sw1 filtered, so the count on a link is the traffic
+    that link carried under an exclusion.
+    """
+
+    def __init__(self):
+        self.by_ingress = {}
+
+    def process(self, packet, switch, ingress):
+        if getattr(packet.header, "path_exclude", None):
+            self.by_ingress[ingress] = self.by_ingress.get(ingress, 0) + 1
+        return None
+
+
 def two_path_network(sim):
     """sender -> sw1 ==(pathA 10G | pathB 100M)== sw2 -> receiver."""
     net = Network(sim)
@@ -46,6 +63,8 @@ class TestSwitchHonoursExclusions:
         controller._react = lambda *args, **kwargs: None
         assert bad_id in stack_s.cc.congested_pathlets("default")
         before = bad.port_a.packets_transmitted
+        tap = ExclusionTap()
+        net.switch("sw2").add_processor(tap)
 
         def paced_send(remaining=[50]):
             if remaining[0] == 0:
@@ -56,7 +75,9 @@ class TestSwitchHonoursExclusions:
 
         paced_send()
         sim.run(until=milliseconds(20))
-        assert sw1.counters.get("exclusions_honoured") > 0
+        # sw1 filtered its candidates for packets that then took the good
+        # link.
+        assert tap.by_ingress.get(good.port_b, 0) > 0
         # Exclusion is advisory and the end-host re-probes (a clean sample
         # on the bad pathlet grows its window and lifts the exclusion), so
         # a trickle is expected — but the traffic must be strongly biased
@@ -88,6 +109,8 @@ class TestSwitchHonoursExclusions:
         endpoint = stack_s.endpoint()  # advertise_exclusions defaults False
         controller = stack_s.cc.controller(bad_id, "default")
         controller.cwnd = controller.min_window
+        tap = ExclusionTap()
+        net.switch("sw2").add_processor(tap)
 
         def paced_send(remaining=[20]):
             if remaining[0] == 0:
@@ -98,7 +121,7 @@ class TestSwitchHonoursExclusions:
 
         paced_send()
         sim.run(until=milliseconds(20))
-        assert sw1.counters.get("exclusions_honoured") == 0
+        assert tap.by_ingress == {}
 
 
 class TestLearnedExclusion:

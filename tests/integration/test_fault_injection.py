@@ -3,6 +3,7 @@ blackouts."""
 
 import pytest
 
+from repro.analysis import PacketLedger
 from repro.core import MtpStack
 from repro.core.header import KIND_ACK, KIND_DATA
 from repro.net import (BlackoutProcessor, CorruptionProcessor,
@@ -227,6 +228,7 @@ class TestDropAcksFilter:
 
 class TestCorruptionChecksum:
     def test_corrupted_payloads_dropped_then_repaired(self, sim, seeds):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw = switched_pair(sim)
         corruptor = CorruptionProcessor(0.1, seeds.stream("bitrot"))
         sw.add_processor(corruptor)
@@ -241,12 +243,13 @@ class TestCorruptionChecksum:
         # so drops land at whichever host the damaged packet reached),
         # and retransmissions still completed the message.
         assert corruptor.corrupted > 0
-        caught = (a.counters.get("checksum_drops")
-                  + b.counters.get("checksum_drops"))
+        caught = (ledger.drop_reasons.get("a:checksum", 0)
+                  + ledger.drop_reasons.get("b:checksum", 0))
         assert caught == corruptor.corrupted
         assert len(inbox) == 1
 
     def test_inactive_corruptor_is_harmless(self, sim, seeds):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw = switched_pair(sim)
         corruptor = CorruptionProcessor(1.0, seeds.stream("off"))
         corruptor.active = False
@@ -257,5 +260,5 @@ class TestCorruptionChecksum:
         MtpStack(a).endpoint().send_message(b.address, 100, 20_000)
         sim.run(until=milliseconds(50))
         assert corruptor.corrupted == 0
-        assert b.counters.get("checksum_drops") == 0
+        assert "b:checksum" not in ledger.drop_reasons
         assert len(inbox) == 1

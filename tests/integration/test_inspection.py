@@ -115,4 +115,4 @@ class TestInspection:
                             payload={"evil": True})
         sim.run(until=milliseconds(20))
         assert inbox == []
-        assert b.counters.get("rx_packets") == 0  # nothing leaked through
+        assert sw.port_to(b).packets_transmitted == 0  # nothing leaked

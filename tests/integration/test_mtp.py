@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import PacketLedger
 from repro.core import (BlobReceiver, BlobSender, EcnFeedbackSource,
                         MtpStack, PathletRegistry, UNKNOWN_PATHLET)
 from repro.net import (AlternatingSelector, DropTailQueue, Network)
@@ -88,10 +89,16 @@ class TestDelivery:
         assert inbox.messages[0].payload is payload
 
     def test_unbound_port_counted(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, stack_a, stack_b, _ = mtp_pair(sim)
-        stack_a.endpoint().send_message(b.address, 4242, 100)
+        sender = stack_a.endpoint()
+        sender.send_message(b.address, 4242, 100)
         sim.run(until=milliseconds(50))
-        assert b.counters.get("mtp_unreachable") >= 1
+        # b's stack received the data, had no endpoint for it, and never
+        # acknowledged it.
+        assert ledger.delivered >= 1
+        assert b.port_to(a).packets_transmitted == 0
+        assert sender.messages_completed == 0
 
 
 class TestReliability:

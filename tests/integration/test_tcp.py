@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import PacketLedger
 from repro.net import DropTailQueue, Network
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
@@ -31,11 +32,14 @@ class TestHandshake:
         assert app.connected_at >= 2 * delay  # SYN + SYN-ACK
 
     def test_syn_to_closed_port_is_ignored(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, stack_a, stack_b = tcp_pair(sim)
         conn = stack_a.connect(b.address, 9999, ConnectionCallbacks())
         sim.run(until=milliseconds(1))
         assert not conn.established
-        assert b.counters.get("rx_packets") >= 1
+        # b's stack received the SYN and sent nothing back.
+        assert ledger.delivered >= 1
+        assert b.port_to(a).packets_transmitted == 0
 
 
 class TestTransfer:

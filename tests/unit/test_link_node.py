@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import PacketLedger
 from repro.net import (DropTailQueue, Host, Network, Packet, Switch)
 from repro.sim import Simulator, gbps, microseconds, transmission_delay
 
@@ -69,17 +70,19 @@ class TestPointToPoint:
         assert len(sink.received) == 3
 
     def test_unknown_protocol_counted(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sink = two_hosts(sim)
         a.send(Packet(a.address, b.address, 100, "mystery"))
         sim.run()
-        assert b.counters.get("no_protocol") == 1
+        assert ledger.drop_reasons == {"b:no_protocol": 1}
 
     def test_misaddressed_packet_ignored(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sink = two_hosts(sim)
         a.send(Packet(a.address, 9999, 100, "test"))
         sim.run()
         assert sink.received == []
-        assert b.counters.get("misrouted") == 1
+        assert ledger.drop_reasons == {"b:misrouted": 1}
 
 
 class TestSwitchForwarding:
@@ -101,13 +104,14 @@ class TestSwitchForwarding:
         a.send(Packet(a.address, b.address, 1500, "test"))
         sim.run()
         assert len(sink.received) == 1
-        assert sw.counters.get("forwarded") == 1
+        assert sw.port_to(b).packets_transmitted == 1
 
     def test_no_route_counted(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw, sink = self.build_line(sim)
         a.send(Packet(a.address, 12345, 100, "test"))
         sim.run()
-        assert sw.counters.get("no_route") == 1
+        assert ledger.drop_reasons == {"sw:no_route": 1}
 
     def test_hop_recording(self, sim):
         net, a, b, sw, sink = self.build_line(sim)
@@ -118,6 +122,7 @@ class TestSwitchForwarding:
         assert packet.hops == ["sw"]
 
     def test_consuming_processor(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw, sink = self.build_line(sim)
 
         class Consumer:
@@ -128,7 +133,7 @@ class TestSwitchForwarding:
         a.send(Packet(a.address, b.address, 100, "test"))
         sim.run()
         assert sink.received == []
-        assert sw.counters.get("consumed") == 1
+        assert ledger.consumed == 1
 
     def test_rewriting_processor(self, sim):
         net, a, b, sw, sink = self.build_line(sim)

@@ -121,6 +121,7 @@ class TestLinkDown:
 
 class TestSwitchCrash:
     def test_crash_flushes_queues_and_downs_links(self, sim):
+        ledger = sim.ledger = PacketLedger()
         # Fast ingress, slow egress: the switch's egress queue fills.
         net = Network(sim)
         a = net.add_host("a")
@@ -137,7 +138,8 @@ class TestSwitchCrash:
         sim.at(microseconds(5), sw.crash)
         sim.run()
         assert not sw.alive
-        assert sw.counters.get("crash_flushed") > 0
+        assert sum(count for reason, count in ledger.drop_reasons.items()
+                   if reason.endswith(":switch_crash")) > 0
         assert all(not port.up for port in sw.ports)
         assert len(sink.received) < 5
 
@@ -165,10 +167,14 @@ class TestSwitchCrash:
         assert sw.ports[0].down_epoch == epoch
 
     def test_crashed_switch_blackholes(self, sim):
+        ledger = sim.ledger = PacketLedger()
         net, a, b, sw, sink = line_through_switch(sim)
         sw.crash()
-        sw.receive(Packet(a.address, b.address, 100, "test"), sw.ports[0])
-        assert sw.counters.get("switch_down_drops") == 1
+        # As if it left a's wire in the same tick as the crash.
+        packet = Packet(a.address, b.address, 100, "test")
+        ledger.packet_injected(packet, "a")
+        sw.receive(packet, sw.ports[0])
+        assert ledger.drop_reasons == {"sw:switch_down": 1}
 
     def test_restart_restores_forwarding(self, sim):
         net, a, b, sw, sink = line_through_switch(sim)

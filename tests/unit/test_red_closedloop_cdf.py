@@ -1,11 +1,8 @@
-"""RED queue and CDF helper units."""
-
-import random
+"""RED queue units."""
 
 import pytest
 
 from repro.net import ECT_CAPABLE, Packet, RedQueue
-from repro.stats import cdf_points
 
 
 def make_packet(ecn=ECT_CAPABLE):
@@ -57,24 +54,3 @@ class TestRedQueue:
             RedQueue(capacity=10, min_threshold=6, max_threshold=5)
         with pytest.raises(ValueError):
             RedQueue(capacity=10, min_threshold=2, max_threshold=20)
-
-
-class TestCdfPoints:
-    def test_small_sample_exact(self):
-        points = cdf_points([3, 1, 2])
-        assert points == [(1, pytest.approx(1 / 3)),
-                          (2, pytest.approx(2 / 3)), (3, 1.0)]
-
-    def test_monotone(self):
-        rng = random.Random(1)
-        values = [rng.random() for _ in range(1000)]
-        points = cdf_points(values, n_points=50)
-        assert len(points) == 50
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-        assert ys[-1] == 1.0
-
-    def test_empty(self):
-        assert cdf_points([]) == []

@@ -1,6 +1,6 @@
-"""Seed sequences and counters."""
+"""Seed sequences."""
 
-from repro.sim import Counter, SeedSequence
+from repro.sim import SeedSequence
 
 
 class TestSeedSequence:
@@ -30,29 +30,3 @@ class TestSeedSequence:
         child_b = seeds.spawn("tenant-b").stream("workload").random()
         assert child_a != child_b
 
-
-class TestCounter:
-    def test_add_and_get(self):
-        counter = Counter()
-        counter.add("rx")
-        counter.add("rx", 4)
-        assert counter.get("rx") == 5
-
-    def test_missing_is_zero(self):
-        assert Counter().get("nope") == 0
-
-    def test_rejects_negative(self):
-        counter = Counter()
-        try:
-            counter.add("x", -1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
-
-    def test_as_dict_snapshot(self):
-        counter = Counter()
-        counter.add("a", 2)
-        snapshot = counter.as_dict()
-        counter.add("a")
-        assert snapshot == {"a": 2}

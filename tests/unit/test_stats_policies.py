@@ -86,13 +86,6 @@ class TestFctCollector:
             fct.record(1, value)
         assert fct.tail(99) == pytest.approx(percentile(range(1, 101), 99))
 
-    def test_buckets(self):
-        fct = FctCollector()
-        fct.record(50, 5)
-        fct.record(5000, 100)
-        buckets = fct.by_size_buckets([100])
-        assert len(buckets) == 2
-
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             FctCollector().record(1, -1)

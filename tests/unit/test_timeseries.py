@@ -1,21 +1,8 @@
-"""Time-series helpers: time-weighted means, convergence metrics."""
+"""Time-series helpers: phase slicing, convergence metrics."""
 
 import pytest
 
-from repro.stats import convergence_times, phase_slices, time_weighted_mean
-
-
-class TestTimeWeightedMean:
-    def test_step_function(self):
-        # 10 for 1 unit, then 20 for 3 units.
-        series = [(0, 10.0), (1, 20.0)]
-        assert time_weighted_mean(series, end_ns=4) == pytest.approx(17.5)
-
-    def test_single_sample(self):
-        assert time_weighted_mean([(5, 3.0)]) == 3.0
-
-    def test_empty(self):
-        assert time_weighted_mean([]) == 0.0
+from repro.stats import convergence_times, phase_slices
 
 
 class TestPhases:

@@ -52,18 +52,6 @@ class TestTransmissionDelay:
             units.transmission_delay(-1, units.gbps(1))
 
 
-class TestThroughput:
-    def test_bytes_in_interval(self):
-        # 100 Gbps for 120 ns carries exactly 1500 bytes.
-        assert units.bytes_in_interval(units.gbps(100), 120) == 1500
-
-    def test_throughput_bps(self):
-        assert units.throughput_bps(1500, 120) == pytest.approx(1e11)
-
-    def test_throughput_zero_interval(self):
-        assert units.throughput_bps(1500, 0) == 0.0
-
-
 class TestFormatting:
     def test_format_time_scales(self):
         assert units.format_time(500) == "500ns"

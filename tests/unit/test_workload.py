@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from repro.apps import (EmpiricalSize, FixedSize, LogUniformSize,
-                        MessageWorkload, PoissonArrivals, UniformArrivals,
-                        UniformSize, skewed_sizes)
+from repro.apps import (FixedSize, LogUniformSize, MessageWorkload,
+                        PoissonArrivals, UniformArrivals)
 from repro.sim import Simulator, milliseconds
 
 
@@ -20,11 +19,6 @@ class TestDistributions:
         dist = FixedSize(1000)
         assert dist.sample(rng) == 1000
         assert dist.mean() == 1000
-
-    def test_uniform_bounds(self, rng):
-        dist = UniformSize(10, 20)
-        samples = [dist.sample(rng) for _ in range(200)]
-        assert all(10 <= sample <= 20 for sample in samples)
 
     def test_loguniform_bounds(self, rng):
         dist = LogUniformSize(10_000, 1_000_000)
@@ -44,25 +38,11 @@ class TestDistributions:
         empirical = sum(samples) / len(samples)
         assert empirical == pytest.approx(dist.mean(), rel=0.15)
 
-    def test_empirical(self, rng):
-        dist = EmpiricalSize([(100, 0.9), (10_000, 0.1)])
-        samples = [dist.sample(rng) for _ in range(2000)]
-        small = sum(1 for sample in samples if sample == 100)
-        assert 0.8 < small / len(samples) < 0.97
-        assert dist.mean() == pytest.approx(0.9 * 100 + 0.1 * 10_000)
-
-    def test_skewed_sizes_shape(self, rng):
-        dist = skewed_sizes(high=2_000_000)
-        assert isinstance(dist, LogUniformSize)
-        assert dist.low == 10 * 1024
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FixedSize(0)
         with pytest.raises(ValueError):
-            UniformSize(10, 5)
-        with pytest.raises(ValueError):
-            EmpiricalSize([])
+            LogUniformSize(10, 5)
 
 
 class TestArrivals:
