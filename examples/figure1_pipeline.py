@@ -70,7 +70,7 @@ def build(sim):
 
     # (2a) L7 balancer on its own host
     balancer = L7LoadBalancer(MtpStack(lb_host).endpoint(port=700),
-                              replicas, policy="least_loaded")
+                              replicas)
 
     # (1) cache on the client's top-of-rack switch
     cache = InNetworkCache(sim, service_port=700, capacity=HOT_KEYS)

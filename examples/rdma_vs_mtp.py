@@ -24,7 +24,7 @@ def build(sim):
         delay_a_ns=microseconds(5), delay_b_ns=microseconds(8),
         edge_rate_bps=gbps(40), edge_delay_ns=microseconds(1),
         queue_factory=lambda: DropTailQueue(256),
-        selector=PacketSpraySelector("round_robin"))
+        selector=PacketSpraySelector())
 
 
 def run_rdma():

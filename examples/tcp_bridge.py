@@ -30,7 +30,7 @@ def main() -> None:
     net.add_node(gw_a)
     net.add_node(gw_b)
     sw1 = net.add_switch("sw1",
-                         selector=PacketSpraySelector("round_robin"))
+                         selector=PacketSpraySelector())
     sw2 = net.add_switch("sw2")
     queue = lambda: DropTailQueue(128, 20)
     net.connect(client, gw_a, gbps(10), microseconds(2))

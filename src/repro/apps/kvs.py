@@ -22,6 +22,8 @@ _request_ids = itertools.count(1)
 #: Wire size of a GET/PUT request message (single packet by design — the
 #: bounded-state property offloads rely on).
 REQUEST_SIZE = 128
+#: Size of a value stored or requested without an explicit size.
+DEFAULT_VALUE_SIZE = 1024
 
 
 class KvRequest:
@@ -70,12 +72,10 @@ class KvsServer:
     an in-network cache saves on hits.
     """
 
-    def __init__(self, endpoint: MtpEndpoint, service_time_ns: int = 0,
-                 default_value_size: int = 1024):
+    def __init__(self, endpoint: MtpEndpoint, service_time_ns: int = 0):
         self.endpoint = endpoint
         self.sim: Simulator = endpoint.sim
         self.service_time_ns = service_time_ns
-        self.default_value_size = default_value_size
         self.store: Dict[str, object] = {}
         self.value_sizes: Dict[str, int] = {}
         self.gets_served = 0
@@ -86,7 +86,7 @@ class KvsServer:
         """Populate the store directly (test/bootstrap path)."""
         self.store[key] = value
         self.value_sizes[key] = value_size if value_size is not None \
-            else self.default_value_size
+            else DEFAULT_VALUE_SIZE
 
     def _on_message(self, endpoint: MtpEndpoint,
                     message: DeliveredMessage) -> None:
@@ -98,7 +98,7 @@ class KvsServer:
     def _serve(self, message: DeliveredMessage, request: KvRequest) -> None:
         if request.op == "PUT":
             self.put(request.key, request.value,
-                     request.value_size or self.default_value_size)
+                     request.value_size or DEFAULT_VALUE_SIZE)
             self.puts_served += 1
             response = KvResponse(request.request_id, request.key, None,
                                   hit=True, served_by="server")
@@ -109,7 +109,7 @@ class KvsServer:
             response = KvResponse(request.request_id, request.key, value,
                                   hit=value is not None, served_by="server")
             size = self.value_sizes.get(request.key,
-                                        self.default_value_size)
+                                        DEFAULT_VALUE_SIZE)
         self.endpoint.send_message(message.src_address, request.reply_port,
                                    max(1, size), payload=response)
 

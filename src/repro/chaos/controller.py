@@ -4,14 +4,14 @@ The controller resolves the schedule's name-based targets against a
 :class:`~repro.net.topology.Network`, schedules one simulator event per
 fault, and applies them at the scripted virtual times.  Everything is
 deterministic: the only randomness (payload corruption) flows from a
-single injected seed, and the applied-fault log makes a run's adversity
+single seed, and the applied-fault log makes a run's adversity
 auditable after the fact.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from ..net.faults import CorruptionProcessor
 from ..net.link import Link
@@ -35,19 +35,18 @@ class ChaosController:
     """
 
     def __init__(self, sim: Simulator, network: Network,
-                 schedule: ChaosSchedule, seed: int = 0,
-                 rng: Optional[random.Random] = None):
+                 schedule: ChaosSchedule, seed: int = 0):
         self.sim = sim
         self.network = network
         self.schedule = schedule
-        #: Seeded stream for corruption faults; injected, never global.
-        self.rng = rng if rng is not None else random.Random(seed)
+        #: Seeded stream for corruption faults; never global.
+        self.rng = random.Random(seed)
         self.applied: List[Tuple[int, str, str]] = []
         self._corruptors: dict = {}
         self._installed = False
 
     def install(self) -> None:
-        """Schedule every fault event (idempotent; call once per run)."""
+        """Schedule every fault event; a second call raises."""
         if self._installed:
             raise RuntimeError("chaos schedule already installed")
         self._installed = True

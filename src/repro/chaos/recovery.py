@@ -22,6 +22,9 @@ from ..sim.engine import Simulator
 
 __all__ = ["RecoveryMonitor", "FaultRecovery"]
 
+#: The pre-fault baseline averages up to this many non-zero goodput bins.
+BASELINE_BINS = 8
+
 
 class FaultRecovery:
     """Per-fault recovery verdict (all times in virtual ns)."""
@@ -115,11 +118,10 @@ class RecoveryMonitor:
         return samples[index][1]
 
     def report(self, recover_fraction: float = 0.8,
-               baseline_bins: int = 8,
                until_ns: Optional[int] = None) -> List[FaultRecovery]:
         """Recovery verdict per noted fault.
 
-        The baseline is the mean of up to ``baseline_bins`` non-zero
+        The baseline is the mean of up to ``BASELINE_BINS`` non-zero
         goodput bins immediately before the fault; recovery is the first
         bin at or after the fault whose goodput reaches
         ``recover_fraction * baseline``.
@@ -133,8 +135,8 @@ class RecoveryMonitor:
             fault_bin = fault_ns // self.interval_ns
             before = [bps for start, bps in series
                       if start < fault_bin * self.interval_ns and bps > 0]
-            baseline = (sum(before[-baseline_bins:])
-                        / len(before[-baseline_bins:])) if before else 0.0
+            baseline = (sum(before[-BASELINE_BINS:])
+                        / len(before[-BASELINE_BINS:])) if before else 0.0
             threshold = recover_fraction * baseline
             recovered_ns: Optional[int] = None
             dip = float("inf")

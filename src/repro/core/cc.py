@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from ..sim.units import SECOND, microseconds
 from .feedback import FB_DELAY, FB_ECN, FB_QUEUE, FB_RATE, FB_TRIM, Feedback
+from .message import MTP_MAX_PAYLOAD
 from .pathlets import UNKNOWN_PATHLET
 
 __all__ = ["CongestionController", "WindowEcnController", "RateController",
@@ -26,6 +27,17 @@ __all__ = ["CongestionController", "WindowEcnController", "RateController",
 
 #: Key identifying one congestion state: (pathlet id, traffic class).
 CcKey = Tuple[int, str]
+
+#: Initial window, in segments, of every controller the end-host creates.
+INIT_WINDOW_SEGMENTS = 10
+#: Swift's multiplicative-decrease gain (:class:`DelayController`).
+DELAY_BETA = 0.8
+#: A window controller whose ECN alpha reaches this reports its pathlet
+#: as congested.
+ECN_CONGESTED_ALPHA = 0.5
+#: Consecutive timeouts on one (pathlet, tc) before the pathlet is
+#: declared failed and excluded from future sends.
+FAILOVER_LOSS_THRESHOLD = 3
 
 
 class CongestionController:
@@ -84,11 +96,11 @@ class WindowEcnController(CongestionController):
     """DCTCP-style: ECN-fraction ``alpha`` scales a once-per-RTT reduction."""
 
     def __init__(self, mss: int = 1460, init_window_segments: int = 10,
-                 g: float = 1.0 / 16.0, ssthresh: Optional[int] = None):
+                 g: float = 1.0 / 16.0):
         super().__init__(mss, init_window_segments)
         self.g = g
         self.alpha = 1.0
-        self.ssthresh = ssthresh if ssthresh is not None else 1 << 48
+        self.ssthresh = 1 << 48
         self._win_acked = 0
         self._win_marked = 0
         self._win_end = 0
@@ -163,12 +175,9 @@ class DelayController(CongestionController):
 
     def __init__(self, mss: int = 1460, init_window_segments: int = 10,
                  target_delay_ns: int = microseconds(5),
-                 additive_increase: float = 1.0, beta: float = 0.8,
                  max_decrease: float = 0.5):
         super().__init__(mss, init_window_segments)
         self.target_delay_ns = target_delay_ns
-        self.additive_increase = additive_increase
-        self.beta = beta
         self.max_decrease = max_decrease
         self._md_until = -1
 
@@ -178,12 +187,11 @@ class DelayController(CongestionController):
             return
         delay = feedback.value
         if delay <= self.target_delay_ns:
-            self.cwnd += (self.additive_increase * self.mss * acked_bytes
-                          / max(self.cwnd, 1))
+            self.cwnd += self.mss * acked_bytes / max(self.cwnd, 1)
         elif now > self._md_until:
             self._md_until = now + self._rtt()
             over = (delay - self.target_delay_ns) / max(delay, 1.0)
-            factor = max(1 - self.beta * over, self.max_decrease)
+            factor = max(1 - DELAY_BETA * over, self.max_decrease)
             self.cwnd = max(self.min_window, self.cwnd * factor)
 
 
@@ -234,15 +242,7 @@ class PathletCcManager:
     and uncharged when their acknowledgement (or loss) resolves.
     """
 
-    def __init__(self, mss: int = 1460, init_window_segments: int = 10,
-                 ecn_congested_alpha: float = 0.5,
-                 failover_loss_threshold: int = 3):
-        self.mss = mss
-        self.init_window_segments = init_window_segments
-        self.ecn_congested_alpha = ecn_congested_alpha
-        #: Consecutive timeouts on one (pathlet, tc) before the pathlet is
-        #: declared failed and excluded from future sends.
-        self.failover_loss_threshold = failover_loss_threshold
+    def __init__(self) -> None:
         self._controllers: Dict[CcKey, CongestionController] = {}
         self._inflight: Dict[CcKey, int] = {}
         self._active_path: Dict[int, Tuple[int, ...]] = {}
@@ -275,7 +275,7 @@ class PathletCcManager:
         controller = self._controllers.get(key)
         if controller is None:
             controller = controller_for_feedback(
-                feedback, self.mss, self.init_window_segments)
+                feedback, MTP_MAX_PAYLOAD, INIT_WINDOW_SEGMENTS)
             self._controllers[key] = controller
         return controller
 
@@ -283,7 +283,7 @@ class PathletCcManager:
         """Window of one (pathlet, tc) without creating state."""
         controller = self._controllers.get((pathlet_id, tc))
         if controller is None:
-            return self.init_window_segments * self.mss
+            return INIT_WINDOW_SEGMENTS * MTP_MAX_PAYLOAD
         return controller.window()
 
     def inflight(self, pathlet_id: int, tc: str) -> int:
@@ -356,7 +356,7 @@ class PathletCcManager:
             key = (pathlet_id, tc)
             count = self._consec_losses.get(key, 0) + 1
             self._consec_losses[key] = count
-            if (count >= self.failover_loss_threshold
+            if (count >= FAILOVER_LOSS_THRESHOLD
                     and pathlet_id != UNKNOWN_PATHLET):
                 self._forget_pathlet(pathlet_id)
 
@@ -370,18 +370,17 @@ class PathletCcManager:
     def failed_pathlets(self, tc: str) -> list:
         """Pathlets presumed dead for ``tc`` (consecutive-RTO threshold).
 
-        A pathlet that has absorbed ``failover_loss_threshold`` timeouts
+        A pathlet that has absorbed ``FAILOVER_LOSS_THRESHOLD`` timeouts
         without a single acknowledgement in between is treated as failed;
         senders exclude it so the network steers traffic onto survivors
         within a bounded number of RTOs.  The verdict clears the moment an
         acknowledgement arrives through the pathlet again.
         """
-        threshold = self.failover_loss_threshold
         return sorted(
             pathlet_id
             for (pathlet_id, key_tc), losses in self._consec_losses.items()
             if key_tc == tc and pathlet_id != UNKNOWN_PATHLET
-            and losses >= threshold)
+            and losses >= FAILOVER_LOSS_THRESHOLD)
 
     # -- congestion signalling back to the network ----------------------
 
@@ -398,7 +397,7 @@ class PathletCcManager:
                 continue
             pinned = controller.window() <= controller.min_window
             hot_alpha = (isinstance(controller, WindowEcnController)
-                         and controller.alpha >= self.ecn_congested_alpha
+                         and controller.alpha >= ECN_CONGESTED_ALPHA
                          and controller.acked_bytes > 0)
             if pinned or hot_alpha:
                 congested.append(pathlet_id)

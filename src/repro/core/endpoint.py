@@ -22,7 +22,7 @@ from ..sim.units import microseconds
 from .cc import PathletCcManager
 from .feedback import FB_TRIM
 from .header import KIND_ACK, KIND_DATA, MtpHeader
-from .message import (MTP_MAX_PAYLOAD, Message, ReceiveState, SendState)
+from .message import Message, ReceiveState, SendState
 from ..transport.base import TransportStack
 
 __all__ = ["MtpStack", "MtpEndpoint", "DeliveredMessage"]
@@ -32,6 +32,9 @@ ACK_SIZE = 64
 
 #: How many completed messages a receiver remembers for duplicate re-ACKs.
 COMPLETED_MEMORY = 4096
+#: Floor of the retransmission timeout (and a quarter of the RTO used
+#: before the first RTT sample).
+MIN_RTO_NS = microseconds(100)
 
 
 class DeliveredMessage:
@@ -71,21 +74,16 @@ class MtpStack(TransportStack):
 
     protocol_name = "mtp"
 
-    def __init__(self, host: Host, mss: int = 1460,
-                 init_window_segments: int = 10,
-                 min_rto_ns: int = microseconds(100),
+    def __init__(self, host: Host,
                  max_rto_ns: int = microseconds(100_000),
                  max_retries: int = 12):
         super().__init__(host)
-        self.mss = min(mss, MTP_MAX_PAYLOAD)
-        self.min_rto_ns = min_rto_ns
         #: RFC 6298-style cap on the backed-off retransmission timeout.
-        self.max_rto_ns = max(max_rto_ns, min_rto_ns)
+        self.max_rto_ns = max(max_rto_ns, MIN_RTO_NS)
         #: Per-packet RTO retransmissions before the whole message is
         #: aborted and surfaced to the application via ``on_failed``.
         self.max_retries = max_retries
-        self.cc = PathletCcManager(mss=self.mss,
-                                   init_window_segments=init_window_segments)
+        self.cc = PathletCcManager()
         self._endpoints: Dict[int, MtpEndpoint] = {}
         self._next_port = 30_000
 
@@ -198,8 +196,7 @@ class MtpEndpoint:
             raise ValueError("deadline must be positive")
         message = Message(size, priority=priority,
                           tc=tc if tc is not None else self.tc,
-                          payload=payload,
-                          max_payload=self.stack.mss)
+                          payload=payload)
         state = SendState(message, dst_address, dst_port,
                           on_complete=on_complete, created_at=self.sim.now,
                           on_failed=on_failed)
@@ -510,9 +507,9 @@ class MtpEndpoint:
         retransmission storm — nor into an unbounded wait.
         """
         if self.srtt is None:
-            base = 4 * self.stack.min_rto_ns
+            base = 4 * MIN_RTO_NS
         else:
-            base = max(self.stack.min_rto_ns, self.srtt + 4 * self.rttvar)
+            base = max(MIN_RTO_NS, self.srtt + 4 * self.rttvar)
         return min(base << self._backoff_exp, self.stack.max_rto_ns)
 
     def _update_rtt(self, sample: int) -> None:

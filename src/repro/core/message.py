@@ -52,9 +52,8 @@ class Message:
     """
 
     def __init__(self, size: int, priority: int = 0, tc: str = "default",
-                 payload: Any = None, msg_id: Optional[int] = None,
-                 max_payload: int = MTP_MAX_PAYLOAD):
-        self.msg_id = msg_id if msg_id is not None else next(_message_ids)
+                 payload: Any = None, max_payload: int = MTP_MAX_PAYLOAD):
+        self.msg_id = next(_message_ids)
         self.size = size
         self.priority = priority
         self.tc = tc

@@ -68,18 +68,16 @@ class RateFeedbackSource(FeedbackSource):
     ``R += (T/d) * (a*(C - y) - b*q/d) / N_est`` evaluated every ``T``:
     spare capacity pushes the advertised rate up, standing queues push it
     down.  ``N_est = C/R`` (the RCP trick: no per-flow state needed).
+    The gains are ``a = 0.5`` and ``b = 0.25``.
     """
 
     def __init__(self, sim: Simulator, port: Port,
                  update_interval_ns: int = microseconds(10),
-                 avg_rtt_ns: int = microseconds(20),
-                 alpha: float = 0.5, beta: float = 0.25):
+                 avg_rtt_ns: int = microseconds(20)):
         self.sim = sim
         self.port = port
         self.update_interval_ns = update_interval_ns
         self.avg_rtt_ns = avg_rtt_ns
-        self.alpha = alpha
-        self.beta = beta
         self.capacity_bps = port.rate_bps
         self.rate_bps = float(port.rate_bps)  # optimistic start
         self._last_offered_bytes = port.queue.bytes_offered
@@ -91,8 +89,8 @@ class RateFeedbackSource(FeedbackSource):
         self._last_offered_bytes = self.port.queue.bytes_offered
         incoming_bps = arrived * 8 * SECOND / interval
         queue_bits = self.port.queue.bytes_queued * 8
-        spare = self.alpha * (self.capacity_bps - incoming_bps)
-        drain = self.beta * queue_bits * SECOND / self.avg_rtt_ns
+        spare = 0.5 * (self.capacity_bps - incoming_bps)
+        drain = 0.25 * queue_bits * SECOND / self.avg_rtt_ns
         n_est = max(1.0, self.capacity_bps / max(self.rate_bps, 1.0))
         delta = (interval / self.avg_rtt_ns) * (spare - drain) / n_est
         self.rate_bps = min(float(self.capacity_bps),
@@ -129,18 +127,16 @@ class SelectiveFeedbackSource(FeedbackSource):
     """
 
     def __init__(self, inner: FeedbackSource,
-                 keepalive_interval_ns: int = microseconds(100),
-                 idle_value: float = 0.0):
+                 keepalive_interval_ns: int = microseconds(100)):
         self.inner = inner
         self.keepalive_interval_ns = keepalive_interval_ns
-        self.idle_value = idle_value
         self._last_emitted = -(10 ** 18)
         self.suppressed = 0
 
     def generate(self, port: Port, packet: Packet,
                  now: int) -> "Feedback | None":
         feedback = self.inner.generate(port, packet, now)
-        interesting = feedback.value != self.idle_value
+        interesting = feedback.value != 0.0
         due = now - self._last_emitted >= self.keepalive_interval_ns
         if interesting or due:
             self._last_emitted = now

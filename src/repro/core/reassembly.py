@@ -40,6 +40,8 @@ class BlobChunk:
 class BlobSender:
     """Sends a large blob as independent single-packet messages.
 
+    Each message carries one full MTP payload (the last one the rest).
+
     ``window_messages`` bounds how many chunk-messages are outstanding at
     once on top of the pathlet congestion windows (which still govern the
     actual packet release); it mainly bounds sender-side state.
@@ -47,20 +49,15 @@ class BlobSender:
 
     def __init__(self, endpoint: MtpEndpoint, dst_address: int,
                  dst_port: int, total_bytes: int,
-                 chunk_bytes: int = MTP_MAX_PAYLOAD,
                  window_messages: int = 256,
                  on_complete: Optional[Callable] = None,
                  priority: int = 0):
         if total_bytes <= 0:
             raise ValueError("blob size must be positive")
-        if chunk_bytes <= 0 or chunk_bytes > MTP_MAX_PAYLOAD:
-            raise ValueError(
-                f"chunk size must be in (0, {MTP_MAX_PAYLOAD}]")
         self.endpoint = endpoint
         self.dst_address = dst_address
         self.dst_port = dst_port
         self.total_bytes = total_bytes
-        self.chunk_bytes = chunk_bytes
         self.window_messages = window_messages
         self.on_complete = on_complete
         self.priority = priority
@@ -79,7 +76,7 @@ class BlobSender:
     def _fill(self) -> None:
         while (self._outstanding < self.window_messages
                and self._next_offset < self.total_bytes):
-            size = min(self.chunk_bytes, self.total_bytes - self._next_offset)
+            size = min(MTP_MAX_PAYLOAD, self.total_bytes - self._next_offset)
             chunk = BlobChunk(self.blob_id, self._next_offset,
                               self.total_bytes)
             self.endpoint.send_message(

@@ -9,23 +9,16 @@ decisions").
   delay feedback, showing the multi-algorithm machinery end to end.
 * **Message atomicity** — the Figure-6 MTP balancer with and without
   intra-message spraying.
-
-Each driver takes a ``jobs`` argument: ablation points are independent
-simulations, so they fan out over worker processes via
-:func:`.common.sweep_map`.  Results are merged in point order —
-output is identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..core import (BlobReceiver, BlobSender, DelayFeedbackSource,
-                    EcnFeedbackSource, MtpStack, PathletRegistry,
-                    RateFeedbackSource)
-from ..net import DropTailQueue, Network, RateMonitor
-from ..sim import Simulator, gbps, microseconds, milliseconds
-from .common import sweep_map
+from ..core import BlobReceiver, BlobSender, MtpStack
+from ..net import RateMonitor
+from ..sim import Simulator, microseconds, milliseconds
+from .common import INCAST_RATE_BPS, build_incast_star
 from .fig5_multipath import Fig5Config, Fig5Result, run_fig5
 from .fig6_loadbalance import Fig6Config, Fig6Result, run_fig6
 
@@ -33,13 +26,8 @@ __all__ = ["ablate_pathlet_granularity", "ablate_feedback_types",
            "ablate_message_atomicity", "FEEDBACK_SOURCES"]
 
 
-def _pathlet_point(config: Fig5Config) -> Fig5Result:
-    """Sweep worker: one pathlet-granularity point (picklable)."""
-    return run_fig5("mtp", config)
-
-
 def ablate_pathlet_granularity(config: Optional[Fig5Config] = None,
-                               jobs: int = 1) -> Dict[str, Fig5Result]:
+                               ) -> Dict[str, Fig5Result]:
     """Figure-5 scenario: per-link pathlets vs a single global pathlet."""
     base = config or Fig5Config()
     modes = ("per_link", "single")
@@ -55,38 +43,19 @@ def ablate_pathlet_granularity(config: Optional[Fig5Config] = None,
         warmup_ns=base.warmup_ns,
         pathlet_mode=mode,
         tcp_min_rto_ns=base.tcp_min_rto_ns) for mode in modes]
-    return dict(zip(modes, sweep_map(_pathlet_point, configs, jobs=jobs)))
+    return {mode: run_fig5("mtp", config)
+            for mode, config in zip(modes, configs)}
 
 
 FEEDBACK_SOURCES = ("ecn", "rate", "delay")
+#: Senders sharing the bottleneck in the feedback-type ablation.
+N_COMPETING = 4
 
 
-def _feedback_point(job: Tuple[str, int, int, int]) -> Dict:
-    """Sweep worker: one feedback-dialect point (picklable)."""
-    kind, duration_ns, bottleneck_bps, n_competing = job
+def _feedback_point(kind: str, duration_ns: int) -> Dict:
+    """One feedback-dialect point."""
     sim = Simulator()
-    net = Network(sim)
-    sw = net.add_switch("sw")
-    sink = net.add_host("sink")
-    bottleneck = net.connect(sw, sink, bottleneck_bps, microseconds(5),
-                             queue_factory=lambda: DropTailQueue(256,
-                                                                 20))
-    senders = []
-    for index in range(n_competing):
-        host = net.add_host(f"h{index}")
-        net.connect(host, sw, bottleneck_bps, microseconds(1))
-        senders.append(host)
-    net.install_routes()
-    registry = PathletRegistry(sim)
-    port = bottleneck.port_a
-    if kind == "ecn":
-        source = EcnFeedbackSource(20)
-    elif kind == "rate":
-        source = RateFeedbackSource(sim, port,
-                                    avg_rtt_ns=microseconds(15))
-    else:
-        source = DelayFeedbackSource()
-    registry.register(port, source)
+    sink, senders, port = build_incast_star(sim, N_COMPETING, kind)
     monitor = RateMonitor(sim, microseconds(50))
     sink_stack = MtpStack(sink)
     sink_stack.endpoint(
@@ -107,34 +76,25 @@ def _feedback_point(job: Tuple[str, int, int, int]) -> Dict:
     return {
         "goodput_bps": monitor.mean_bps(microseconds(500), duration_ns),
         "peak_queue_pkts": peak_queue[0],
-        "capacity_bps": bottleneck_bps,
+        "capacity_bps": INCAST_RATE_BPS,
     }
 
 
 def ablate_feedback_types(duration_ns: int = milliseconds(4),
-                          bottleneck_bps: int = gbps(10),
-                          n_competing: int = 4,
-                          jobs: int = 1) -> Dict[str, Dict]:
+                          ) -> Dict[str, Dict]:
     """One bottleneck, three feedback dialects, same workload.
 
-    ``n_competing`` hosts blast blobs through a shared 10 Gbps link whose
+    ``N_COMPETING`` hosts blast blobs through a shared 10 Gbps link whose
     pathlet speaks ECN, explicit rate, or delay feedback.  Reports mean
     goodput and peak queue for each — all three should fill the link while
     the signal-specific controllers keep the queue bounded.
     """
-    points = [(kind, duration_ns, bottleneck_bps, n_competing)
-              for kind in FEEDBACK_SOURCES]
-    return dict(zip(FEEDBACK_SOURCES,
-                    sweep_map(_feedback_point, points, jobs=jobs)))
-
-
-def _atomicity_point(config: Fig6Config) -> Fig6Result:
-    """Sweep worker: one message-atomicity point (picklable)."""
-    return run_fig6("mtp_lb", config)
+    return {kind: _feedback_point(kind, duration_ns)
+            for kind in FEEDBACK_SOURCES}
 
 
 def ablate_message_atomicity(config: Optional[Fig6Config] = None,
-                             jobs: int = 1) -> Dict[str, Fig6Result]:
+                             ) -> Dict[str, Fig6Result]:
     """Figure-6 MTP balancer with message atomicity on vs off."""
     base = config or Fig6Config()
     labels = ("atomic", "sprayed")
@@ -152,5 +112,5 @@ def ablate_message_atomicity(config: Optional[Fig6Config] = None,
         tcp_min_rto_ns=base.tcp_min_rto_ns,
         mtp_intra_message_spray=spray)
         for spray in (False, True)]
-    return dict(zip(labels,
-                    sweep_map(_atomicity_point, configs, jobs=jobs)))
+    return {label: run_fig6("mtp_lb", config)
+            for label, config in zip(labels, configs)}

@@ -8,11 +8,18 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.pathlets import PathletRegistry
-from ..net.node import Switch
+from ..core.pathlets import (DelayFeedbackSource, EcnFeedbackSource,
+                             PathletRegistry, RateFeedbackSource)
+from ..net.link import Port
+from ..net.node import Host, Switch
+from ..net.queues import DropTailQueue
+from ..net.topology import Network
+from ..sim.engine import Simulator
+from ..sim.units import gbps, microseconds
 
-__all__ = ["attach_exclusion_lookup", "format_table", "claim",
-           "series_stats", "sweep_map", "ID_STREAMS", "reset_id_streams"]
+__all__ = ["attach_exclusion_lookup", "build_incast_star", "format_table",
+           "claim", "series_stats", "sweep_map", "ID_STREAMS",
+           "reset_id_streams", "INCAST_RATE_BPS"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -48,6 +55,42 @@ def attach_exclusion_lookup(switch: Switch,
                             registry: PathletRegistry) -> None:
     """Let a switch honour MTP path-exclude lists using the registry."""
     switch.pathlet_lookup = registry.pathlet_of
+
+
+#: Rate of every link of :func:`build_incast_star`.
+INCAST_RATE_BPS = gbps(10)
+
+
+def build_incast_star(sim: Simulator, n_senders: int, feedback_kind: str,
+                      ) -> Tuple[Host, List[Host], Port]:
+    """Hosts ``h0..`` into switch ``sw``, one bottleneck on to ``sink``.
+
+    Every link runs at :data:`INCAST_RATE_BPS`; the bottleneck has a 5 us
+    delay and a 256-packet queue marking ECN above 20, and its pathlet
+    speaks ``feedback_kind`` feedback: "ecn", "rate" (RCP, for a 15 us
+    average RTT) or "delay".  Returns ``(sink, senders, bottleneck port)``.
+    """
+    net = Network(sim)
+    sw = net.add_switch("sw")
+    sink = net.add_host("sink")
+    bottleneck = net.connect(sw, sink, INCAST_RATE_BPS, microseconds(5),
+                             queue_factory=lambda: DropTailQueue(256, 20))
+    senders = []
+    for index in range(n_senders):
+        host = net.add_host(f"h{index}")
+        net.connect(host, sw, INCAST_RATE_BPS, microseconds(1))
+        senders.append(host)
+    net.install_routes()
+    registry = PathletRegistry(sim)
+    port = bottleneck.port_a
+    if feedback_kind == "ecn":
+        source = EcnFeedbackSource(20)
+    elif feedback_kind == "rate":
+        source = RateFeedbackSource(sim, port, avg_rtt_ns=microseconds(15))
+    else:
+        source = DelayFeedbackSource()
+    registry.register(port, source)
+    return sink, senders, port
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],

@@ -21,11 +21,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps import TcpMessageFraming
 from ..core import (FB_ECN, KIND_DATA, EcnFeedbackSource, Feedback,
-                    MtpHeader, MtpStack, PathletRegistry, RateFeedbackSource)
+                    MtpHeader, MtpStack, PathletRegistry)
 from ..net import DropTailQueue, Network
 from ..offloads import TrimmingQueue
 from ..sim import Simulator, gbps, mbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
+from .common import build_incast_star
 from .fig5_multipath import Fig5Config, Fig5Result, run_fig5
 from .fig6_loadbalance import Fig6Config, Fig6Result, compare_fig6
 
@@ -78,30 +79,14 @@ WAVE_GAP_NS = microseconds(400)
 def _fresh_senders(feedback_kind: str) -> Tuple[List[int], int]:
     """Waves of fresh MTP senders into one sink; ``(fcts_ns, peak)``."""
     sim = Simulator()
-    net = Network(sim)
-    sw = net.add_switch("sw")
-    sink = net.add_host("sink")
-    bottleneck = net.connect(sw, sink, gbps(10), microseconds(5),
-                             queue_factory=lambda: DropTailQueue(256, 20))
-    senders = []
-    for index in range(WAVES * SENDERS_PER_WAVE):
-        host = net.add_host(f"h{index}")
-        net.connect(host, sw, gbps(10), microseconds(1))
-        senders.append(host)
-    net.install_routes()
-    registry = PathletRegistry(sim)
-    if feedback_kind == "rate":
-        source = RateFeedbackSource(sim, bottleneck.port_a,
-                                    avg_rtt_ns=microseconds(15))
-    else:
-        source = EcnFeedbackSource(20)
-    registry.register(bottleneck.port_a, source)
+    sink, senders, bottleneck = build_incast_star(
+        sim, WAVES * SENDERS_PER_WAVE, feedback_kind)
     MtpStack(sink).endpoint(port=100)
     completions: List[int] = []
     peak_queue = [0]
 
     def sample():
-        peak_queue[0] = max(peak_queue[0], len(bottleneck.port_a.queue))
+        peak_queue[0] = max(peak_queue[0], len(bottleneck.queue))
         sim.schedule(microseconds(2), sample)
 
     sample()

@@ -22,28 +22,27 @@ from .common import series_stats
 
 __all__ = ["Fig3Config", "Fig3Result", "run_fig3", "compare_fig3"]
 
+#: Sender/receiver pairs on the dumbbell, the rate and delay of every
+#: link, its queue in packets, and the size of each message (the figure's
+#: setup).
+N_HOSTS = 4
+LINK_RATE_BPS = gbps(100)
+LINK_DELAY_NS = microseconds(1)
+BUFFER_PACKETS = 128
+MESSAGE_BYTES = 16 * 1024
+#: Throughput bin width, and the start-up span left out of the statistics.
+SAMPLE_INTERVAL_NS = microseconds(32)
+WARMUP_NS = microseconds(200)
+#: Minimum TCP retransmission timeout.
+TCP_MIN_RTO_NS = milliseconds(1)
+
 
 class Fig3Config:
     """Parameters of the one-request-per-flow experiment."""
 
-    def __init__(self, n_hosts: int = 4, link_rate_bps: int = gbps(100),
-                 link_delay_ns: int = microseconds(1),
-                 message_bytes: int = 16 * 1024,
-                 buffer_packets: int = 128,
-                 sample_interval_ns: int = microseconds(32),
-                 duration_ns: int = milliseconds(4),
-                 warmup_ns: int = microseconds(200),
-                 tcp_min_rto_ns: int = milliseconds(1),
+    def __init__(self, duration_ns: int = milliseconds(4),
                  concurrency: int = 32):
-        self.n_hosts = n_hosts
-        self.link_rate_bps = link_rate_bps
-        self.link_delay_ns = link_delay_ns
-        self.message_bytes = message_bytes
-        self.buffer_packets = buffer_packets
-        self.sample_interval_ns = sample_interval_ns
         self.duration_ns = duration_ns
-        self.warmup_ns = warmup_ns
-        self.tcp_min_rto_ns = tcp_min_rto_ns
         #: Closed-loop message streams per host (per_message mode opens a
         #: fresh connection per message on each stream).
         self.concurrency = concurrency
@@ -58,7 +57,7 @@ class Fig3Result:
         self.series = series
         self.messages_completed = messages_completed
         self.config = config
-        self.stats = series_stats(series, warmup_ns=config.warmup_ns)
+        self.stats = series_stats(series, warmup_ns=WARMUP_NS)
 
     @property
     def mean_throughput_bps(self) -> float:
@@ -79,17 +78,16 @@ class _PerMessageSender:
     """Opens a fresh connection for every message, back to back."""
 
     def __init__(self, sim: Simulator, stack: TcpStack, dst_address: int,
-                 config: Fig3Config, counter: List[int]):
+                 counter: List[int]):
         self.sim = sim
         self.stack = stack
         self.dst_address = dst_address
-        self.config = config
         self.counter = counter
         self._launch()
 
     def _launch(self) -> None:
         def on_connected(conn):
-            conn.send(self.config.message_bytes)
+            conn.send(MESSAGE_BYTES)
             conn.close()
 
         def on_finished(conn):
@@ -99,7 +97,7 @@ class _PerMessageSender:
         conn = self.stack.connect(
             self.dst_address, 80,
             ConnectionCallbacks(on_connected=on_connected),
-            min_rto_ns=self.config.tcp_min_rto_ns)
+            min_rto_ns=TCP_MIN_RTO_NS)
         conn.on_finished = on_finished
 
 
@@ -111,29 +109,28 @@ def run_fig3(mode: str, config: Optional[Fig3Config] = None,
     config = config or Fig3Config()
     sim = sim or Simulator()
     net, senders, receivers = build_dumbbell(
-        sim, config.n_hosts, edge_rate_bps=config.link_rate_bps,
-        bottleneck_rate_bps=config.link_rate_bps,
-        delay_ns=config.link_delay_ns,
-        queue_factory=lambda: DropTailQueue(config.buffer_packets))
-    monitor = RateMonitor(sim, config.sample_interval_ns)
+        sim, N_HOSTS, edge_rate_bps=LINK_RATE_BPS,
+        bottleneck_rate_bps=LINK_RATE_BPS,
+        delay_ns=LINK_DELAY_NS,
+        queue_factory=lambda: DropTailQueue(BUFFER_PACKETS))
+    monitor = RateMonitor(sim, SAMPLE_INTERVAL_NS)
     completed = [0]
     for receiver in receivers:
         stack = TcpStack(receiver)
         stack.listen(80, lambda conn: ConnectionCallbacks(
             on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-            min_rto_ns=config.tcp_min_rto_ns)
+            min_rto_ns=TCP_MIN_RTO_NS)
     for sender, receiver in zip(senders, receivers):
         stack = TcpStack(sender)
         if mode == "per_message":
             for _ in range(config.concurrency):
-                _PerMessageSender(sim, stack, receiver.address, config,
-                                  completed)
+                _PerMessageSender(sim, stack, receiver.address, completed)
         else:
             # One long-lived connection streaming back-to-back messages.
             def on_connected(conn, counter=completed):
                 def send_next():
-                    if conn.send_backlog < 4 * config.message_bytes:
-                        conn.send(config.message_bytes)
+                    if conn.send_backlog < 4 * MESSAGE_BYTES:
+                        conn.send(MESSAGE_BYTES)
                         counter[0] += 1
                     sim.schedule(microseconds(1), send_next)
 
@@ -141,7 +138,7 @@ def run_fig3(mode: str, config: Optional[Fig3Config] = None,
 
             stack.connect(receiver.address, 80,
                           ConnectionCallbacks(on_connected=on_connected),
-                          min_rto_ns=config.tcp_min_rto_ns)
+                          min_rto_ns=TCP_MIN_RTO_NS)
     sim.run(until=config.duration_ns)
     return Fig3Result(mode, monitor.series_bps(config.duration_ns),
                       completed[0], config)

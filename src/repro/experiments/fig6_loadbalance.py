@@ -136,9 +136,9 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
     if system == "ecmp":
         selector = EcmpSelector()
     elif system == "spray":
-        selector = PacketSpraySelector("round_robin")
+        selector = PacketSpraySelector()
     elif config.mtp_intra_message_spray:
-        selector = PacketSpraySelector("round_robin")
+        selector = PacketSpraySelector()
     else:
         selector = MessageAwareSelector()
     net, sender, receiver, path_a, path_b = _build(sim, config, selector)
@@ -166,8 +166,8 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
                 receiver.address, 80,
                 ConnectionCallbacks(on_connected=on_connected),
                 variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
-            conn.on_finished = lambda c, size=size, start=start: fct.record(
-                size, sim.now - start, tag=system)
+            conn.on_finished = lambda c, start=start: fct.record(
+                sim.now - start)
     else:
         registry = PathletRegistry(sim)
         registry.register(path_a.port_a,
@@ -183,8 +183,8 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
             start = sim.now
             endpoint.send_message(
                 receiver.address, 100, size,
-                on_complete=lambda state, size=size, start=start: fct.record(
-                    size, sim.now - start, tag=system))
+                on_complete=lambda state, start=start: fct.record(
+                    sim.now - start))
 
     workload = MessageWorkload(sim, seeds.stream("fig6"), sizes, arrivals,
                                submit,

@@ -32,31 +32,29 @@ __all__ = ["Fig7Config", "Fig7Result", "run_fig7", "compare_fig7",
 
 SYSTEMS = ("shared", "separate", "fair_share")
 
+#: One-way delay of the bottleneck link (paper: 10 us).
+BOTTLENECK_DELAY_NS = microseconds(10)
+#: Rate of the host links.
+EDGE_RATE_BPS = gbps(100)
+#: Bottleneck queue in packets, and its ECN marking threshold.
+BUFFER_PACKETS = 256
+ECN_THRESHOLD = 20
+#: Minimum TCP retransmission timeout.
+TCP_MIN_RTO_NS = milliseconds(1)
+#: Streams per tenant: tenant 2 runs 8x as many as tenant 1 (the paper's
+#: ratio).
+STREAMS = {"tenant1": 2, "tenant2": 16}
+
 
 class Fig7Config:
     """Parameters of the isolation experiment (paper: 100 Gbps / 10 us)."""
 
     def __init__(self, bottleneck_rate_bps: int = gbps(100),
-                 bottleneck_delay_ns: int = microseconds(10),
-                 edge_rate_bps: int = gbps(100),
-                 tenant1_streams: int = 2,
-                 stream_ratio: int = 8,
-                 buffer_packets: int = 256,
-                 ecn_threshold: int = 20,
                  duration_ns: int = milliseconds(6),
-                 warmup_ns: int = milliseconds(1),
-                 tcp_min_rto_ns: int = milliseconds(1)):
+                 warmup_ns: int = milliseconds(1)):
         self.bottleneck_rate_bps = bottleneck_rate_bps
-        self.bottleneck_delay_ns = bottleneck_delay_ns
-        self.edge_rate_bps = edge_rate_bps
-        self.tenant1_streams = tenant1_streams
-        #: Tenant 2 runs ``stream_ratio`` times as many streams (paper: 8x).
-        self.stream_ratio = stream_ratio
-        self.buffer_packets = buffer_packets
-        self.ecn_threshold = ecn_threshold
         self.duration_ns = duration_ns
         self.warmup_ns = warmup_ns
-        self.tcp_min_rto_ns = tcp_min_rto_ns
 
 
 class Fig7Result:
@@ -88,25 +86,20 @@ def _build(sim: Simulator, config: Fig7Config, system: str):
     net = Network(sim)
     sw1 = net.add_switch("sw1")
     sw2 = net.add_switch("sw2")
-    queue_factory = isolation_queue_factory(system, config.buffer_packets,
-                                            config.ecn_threshold)
+    queue_factory = isolation_queue_factory(system, BUFFER_PACKETS,
+                                            ECN_THRESHOLD)
     net.connect(sw1, sw2, config.bottleneck_rate_bps,
-                config.bottleneck_delay_ns, queue_factory=queue_factory)
+                BOTTLENECK_DELAY_NS, queue_factory=queue_factory)
     hosts = {}
     for tenant in ("tenant1", "tenant2"):
         sender = net.add_host(f"{tenant}_tx")
         receiver = net.add_host(f"{tenant}_rx")
-        net.connect(sender, sw1, config.edge_rate_bps, microseconds(1))
-        net.connect(sw2, receiver, config.edge_rate_bps, microseconds(1))
+        net.connect(sender, sw1, EDGE_RATE_BPS, microseconds(1))
+        net.connect(sw2, receiver, EDGE_RATE_BPS, microseconds(1))
         hosts[tenant] = (sender, receiver)
     net.install_routes()
     bottleneck_port = sw1.port_to(sw2)
     return net, hosts, bottleneck_port
-
-
-def _stream_counts(config: Fig7Config) -> Dict[str, int]:
-    return {"tenant1": config.tenant1_streams,
-            "tenant2": config.tenant1_streams * config.stream_ratio}
 
 
 def run_fig7(system: str, config: Optional[Fig7Config] = None,
@@ -119,13 +112,12 @@ def run_fig7(system: str, config: Optional[Fig7Config] = None,
     net, hosts, bottleneck_port = _build(sim, config, system)
     monitors = {tenant: RateMonitor(sim, microseconds(100))
                 for tenant in hosts}
-    streams = _stream_counts(config)
 
     if system == "fair_share":
         tc_map = TrafficClassMap({"tenant1": 0, "tenant2": 1})
         registry = PathletRegistry(sim)
         registry.register(bottleneck_port,
-                          EcnFeedbackSource(config.ecn_threshold),
+                          EcnFeedbackSource(ECN_THRESHOLD),
                           tc_classifier=tc_map.classify)
         for tenant, (sender, receiver) in hosts.items():
             sender_stack = MtpStack(sender)
@@ -137,7 +129,7 @@ def run_fig7(system: str, config: Optional[Fig7Config] = None,
 
             receiver_stack.endpoint(port=100, on_message=on_message)
             endpoint = sender_stack.endpoint(tc=tenant)
-            for _ in range(streams[tenant]):
+            for _ in range(STREAMS[tenant]):
                 BlobSender(endpoint, receiver.address, 100,
                            total_bytes=1 << 40, window_messages=128)
     else:
@@ -148,14 +140,14 @@ def run_fig7(system: str, config: Optional[Fig7Config] = None,
             receiver_stack.listen(
                 80, lambda conn, monitor=monitor: ConnectionCallbacks(
                     on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-                variant="dctcp", min_rto_ns=config.tcp_min_rto_ns,
+                variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS,
                 entity=tenant)
-            for _ in range(streams[tenant]):
+            for _ in range(STREAMS[tenant]):
                 sender_stack.connect(
                     receiver.address, 80,
                     ConnectionCallbacks(
                         on_connected=lambda conn: conn.send(1 << 40)),
-                    variant="dctcp", min_rto_ns=config.tcp_min_rto_ns,
+                    variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS,
                     entity=tenant)
 
     sim.run(until=config.duration_ns)

@@ -46,16 +46,23 @@ from .common import attach_exclusion_lookup, series_stats
 __all__ = ["Fig8Config", "Fig8Result", "TelemetryOffload", "run_fig8",
            "compare_fig8"]
 
+#: Host-link and core-path rates, the delay of every link, and each core
+#: path's queue in packets with its ECN marking threshold.
+EDGE_RATE_BPS = gbps(100)
+PATH_RATE_BPS = gbps(40)
+LINK_DELAY_NS = microseconds(1)
+BUFFER_PACKETS = 128
+ECN_THRESHOLD = 20
+#: Minimum TCP retransmission timeout.
+TCP_MIN_RTO_NS = milliseconds(1)
+#: Seeds the chaos controller's corruption stream only.
+SEED = 7
+
 
 class Fig8Config:
     """Parameters of the failure/recovery scenario."""
 
-    def __init__(self, edge_rate_bps: int = gbps(100),
-                 path_rate_bps: int = gbps(40),
-                 link_delay_ns: int = microseconds(1),
-                 buffer_packets: int = 128,
-                 ecn_threshold: int = 20,
-                 detection_delay_ns: int = microseconds(50),
+    def __init__(self, detection_delay_ns: int = microseconds(50),
                  sample_interval_ns: int = microseconds(25),
                  flap_down_ns: int = milliseconds(1.5),
                  flap_up_ns: int = milliseconds(3),
@@ -63,16 +70,7 @@ class Fig8Config:
                  corrupt_start_ns: int = milliseconds(4.3),
                  corrupt_stop_ns: int = milliseconds(4.8),
                  corrupt_probability: float = 0.01,
-                 duration_ns: int = milliseconds(6),
-                 tcp_min_rto_ns: int = milliseconds(1),
-                 mtp_min_rto_ns: int = microseconds(100),
-                 recover_fraction: float = 0.8,
-                 seed: int = 7):
-        self.edge_rate_bps = edge_rate_bps
-        self.path_rate_bps = path_rate_bps
-        self.link_delay_ns = link_delay_ns
-        self.buffer_packets = buffer_packets
-        self.ecn_threshold = ecn_threshold
+                 duration_ns: int = milliseconds(6)):
         #: How long the failover selector blackholes traffic before it
         #: notices loss of light and reroutes (both protocols pay it).
         self.detection_delay_ns = detection_delay_ns
@@ -84,11 +82,6 @@ class Fig8Config:
         self.corrupt_stop_ns = corrupt_stop_ns
         self.corrupt_probability = corrupt_probability
         self.duration_ns = duration_ns
-        self.tcp_min_rto_ns = tcp_min_rto_ns
-        self.mtp_min_rto_ns = mtp_min_rto_ns
-        self.recover_fraction = recover_fraction
-        #: Seeds the chaos controller's corruption stream only.
-        self.seed = seed
         if not (flap_down_ns < flap_up_ns < migrate_ns
                 < corrupt_start_ns < corrupt_stop_ns <= duration_ns):
             raise ValueError("fault timeline must be ordered and fit "
@@ -177,14 +170,13 @@ def _build(sim: Simulator, config: Fig8Config):
     reverse_selector = FailoverSelector(config.detection_delay_ns)
     sw1 = net.add_switch("sw1", selector=selector)
     sw2 = net.add_switch("sw2", selector=reverse_selector)
-    queue = lambda: DropTailQueue(config.buffer_packets,
-                                  config.ecn_threshold)
-    net.connect(sender, sw1, config.edge_rate_bps, config.link_delay_ns)
-    primary = net.connect(sw1, sw2, config.path_rate_bps,
-                          config.link_delay_ns, queue_factory=queue)
-    backup = net.connect(sw1, sw2, config.path_rate_bps,
-                         config.link_delay_ns, queue_factory=queue)
-    net.connect(sw2, receiver, config.edge_rate_bps, config.link_delay_ns)
+    queue = lambda: DropTailQueue(BUFFER_PACKETS, ECN_THRESHOLD)
+    net.connect(sender, sw1, EDGE_RATE_BPS, LINK_DELAY_NS)
+    primary = net.connect(sw1, sw2, PATH_RATE_BPS, LINK_DELAY_NS,
+                          queue_factory=queue)
+    backup = net.connect(sw1, sw2, PATH_RATE_BPS, LINK_DELAY_NS,
+                         queue_factory=queue)
+    net.connect(sw2, receiver, EDGE_RATE_BPS, LINK_DELAY_NS)
     net.install_routes()
     return (net, sender, receiver, sw1, sw2, primary, backup,
             (selector, reverse_selector))
@@ -221,7 +213,7 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
     sw1.add_processor(telemetry)
 
     controller = ChaosController(sim, net, _schedule(config),
-                                 seed=config.seed)
+                                 seed=SEED)
     controller.install()
 
     # The retransmission probe is bound after the stacks exist.
@@ -234,11 +226,11 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
     if protocol == "mtp":
         registry = PathletRegistry(sim)
         registry.register(primary.port_a,
-                          EcnFeedbackSource(config.ecn_threshold))
+                          EcnFeedbackSource(ECN_THRESHOLD))
         registry.register(backup.port_a,
-                          EcnFeedbackSource(config.ecn_threshold))
+                          EcnFeedbackSource(ECN_THRESHOLD))
         attach_exclusion_lookup(sw1, registry)
-        stack_sender = MtpStack(sender, min_rto_ns=config.mtp_min_rto_ns)
+        stack_sender = MtpStack(sender)
         stack_receiver = MtpStack(receiver)
         stack_receiver.endpoint(
             port=100,
@@ -254,17 +246,16 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
         stack_receiver.listen(
             80, lambda conn: ConnectionCallbacks(
                 on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-            variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
+            variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS)
         connection = stack_sender.connect(
             receiver.address, 80,
             ConnectionCallbacks(on_connected=lambda c: c.send(1 << 40)),
-            variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
+            variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS)
         retx["probe"] = lambda: connection.retransmissions
 
     sim.run(until=config.duration_ns)
 
-    recoveries = monitor.report(recover_fraction=config.recover_fraction,
-                                until_ns=config.duration_ns)
+    recoveries = monitor.report(until_ns=config.duration_ns)
     ledger = getattr(sim, "ledger", None)
     conservation = ledger.finalize(sim) if ledger is not None else None
     return Fig8Result(protocol, monitor.rate.series_bps(config.duration_ns),

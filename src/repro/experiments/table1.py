@@ -260,7 +260,7 @@ def probe_rdma_rc_breaks_on_multipath() -> bool:
         delay_a_ns=microseconds(5), delay_b_ns=microseconds(8),
         edge_rate_bps=gbps(40), edge_delay_ns=microseconds(1),
         queue_factory=lambda: DropTailQueue(256),
-        selector=PacketSpraySelector("round_robin"))
+        selector=PacketSpraySelector())
     qp_r = RdmaStack(receiver).create_qp("rc")
     qp_s = RdmaStack(sender).create_qp("rc", rate_bps=gbps(10))
     qp_s.connect(receiver.address, qp_r.qp_number)

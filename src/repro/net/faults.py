@@ -92,7 +92,7 @@ class DeterministicDropProcessor:
 
 
 class CorruptionProcessor:
-    """Damages matching packets' payloads with fixed probability.
+    """Damages packets' payloads with fixed probability.
 
     Corruption does not drop the packet here — the damaged packet keeps
     travelling and is discarded by the *receiver's* checksum check
@@ -101,20 +101,17 @@ class CorruptionProcessor:
     fault to a time window without detaching the processor.
     """
 
-    def __init__(self, probability: float, rng: random.Random,
-                 match: Optional[Callable[[Packet], bool]] = None):
+    def __init__(self, probability: float, rng: random.Random):
         if not 0 <= probability <= 1:
             raise ValueError("probability must be in [0, 1]")
         self.probability = probability
         self.rng = rng
-        self.match = match or (lambda packet: True)
         self.active = True
         self.corrupted = 0
 
     def process(self, packet: Packet, switch: Switch,
                 ingress: Port) -> Optional[List[Packet]]:
-        if (self.active and self.match(packet)
-                and self.rng.random() < self.probability):
+        if self.active and self.rng.random() < self.probability:
             packet.corrupted = True
             self.corrupted += 1
         return None

@@ -7,7 +7,7 @@ time in Figure 2, per-tenant throughput in Figure 7).
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.units import SECOND
@@ -37,7 +37,8 @@ class RateMonitor:
         self._bins[index] = self._bins.get(index, 0) + nbytes
         self.total_bytes += nbytes
 
-    def series_bps(self, until_ns: int = None) -> List[Tuple[int, float]]:  # type: ignore[assignment]
+    def series_bps(self, until_ns: Optional[int] = None,
+                   ) -> List[Tuple[int, float]]:
         """Dense ``(bin_start_ns, throughput_bps)`` series, zeros included."""
         if not self._bins and until_ns is None:
             return []
@@ -51,7 +52,8 @@ class RateMonitor:
             series.append((index * self.interval_ns, bps))
         return series
 
-    def mean_bps(self, start_ns: int = 0, end_ns: int = None) -> float:  # type: ignore[assignment]
+    def mean_bps(self, start_ns: int = 0,
+                 end_ns: Optional[int] = None) -> float:
         """Average throughput over ``[start_ns, end_ns)`` (defaults to now)."""
         if end_ns is None:
             end_ns = self.sim.now
@@ -70,7 +72,7 @@ class PeriodicSampler:
     """
 
     def __init__(self, sim: Simulator, interval_ns: int,
-                 probe: Callable[[], float], start: bool = True):
+                 probe: Callable[[], float]):
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
@@ -78,8 +80,7 @@ class PeriodicSampler:
         self.probe = probe
         self.samples: List[Tuple[int, float]] = []
         self._stopped = False
-        if start:
-            self.sim.schedule(0, self._tick)
+        self.sim.schedule(0, self._tick)
 
     def stop(self) -> None:
         """Stop sampling after the current tick."""

@@ -137,7 +137,6 @@ class Switch(Node):
         self._table: Dict[int, List["Port"]] = {}
         self.selector = selector
         self.processors: List[PacketProcessor] = []
-        self.record_hops = False
         #: False while the switch is crashed: packets are dropped, queues
         #: were flushed, and attached links are down.
         self.alive = True
@@ -223,8 +222,6 @@ class Switch(Node):
             return
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
-        if self.record_hops:
-            packet.hops.append(self.name)
         packets: List[Packet] = [packet]
         for processor in self.processors:
             next_packets: List[Packet] = []

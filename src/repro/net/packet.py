@@ -42,14 +42,13 @@ class Packet:
         entity: tenant/application label used by isolation policies.
         created_at: virtual time the packet was created (for latency stats).
         uid: globally unique packet id (diagnostics and tie-breaking).
-        hops: node names traversed (recorded by switches; diagnostics).
         corrupted: True once a fault has damaged the payload; receivers
             model a checksum by dropping corrupted packets on arrival.
     """
 
     __slots__ = ("src", "dst", "size", "protocol", "header", "ecn",
-                 "flow_label", "entity", "created_at", "uid", "hops",
-                 "pooled", "corrupted")
+                 "flow_label", "entity", "created_at", "uid", "pooled",
+                 "corrupted")
 
     def __init__(self, src: int, dst: int, size: int, protocol: str,
                  header: Any = None, ecn: int = ECT_NOT_CAPABLE,
@@ -67,7 +66,6 @@ class Packet:
         self.entity = entity
         self.created_at = created_at
         self.uid = next(_packet_ids)
-        self.hops: List[str] = []
         #: True while the packet shell is on loan from a :class:`PacketPool`
         #: (set by :meth:`PacketPool.acquire`, cleared by ``release``).
         self.pooled = False
@@ -96,8 +94,8 @@ class PacketPool:
     """Free-list of :class:`Packet` shells for allocation-heavy hot paths.
 
     ``acquire(...)`` hands out a fully re-initialised packet (fresh
-    ``uid``, cleared ``hops``, new field values — behaviourally identical
-    to ``Packet(...)``); ``release(packet)`` returns the *shell* to the
+    ``uid``, new field values — behaviourally identical to
+    ``Packet(...)``); ``release(packet)`` returns the *shell* to the
     free list once nothing references the packet object any more.  Only
     the shell is recycled: header objects are never reused, so references
     retained to a released packet's header (payloads, feedback lists)
@@ -152,7 +150,6 @@ class PacketPool:
         packet.entity = entity
         packet.created_at = created_at
         packet.uid = next(_packet_ids)
-        packet.hops.clear()
         packet.pooled = True
         packet.corrupted = False
         return packet

@@ -140,8 +140,7 @@ class RedQueue(QueueDiscipline):
 
     def __init__(self, capacity: int, min_threshold: int,
                  max_threshold: int, max_probability: float = 0.1,
-                 weight: float = 0.2,
-                 rng: Optional[random.Random] = None, ecn: bool = True):
+                 weight: float = 0.2):
         super().__init__()
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -156,9 +155,8 @@ class RedQueue(QueueDiscipline):
         self.max_threshold = max_threshold
         self.max_probability = max_probability
         self.weight = weight
-        self.ecn = ecn
-        #: Explicitly seeded default: RED marking must replay identically.
-        self.rng = rng if rng is not None else random.Random(0)
+        #: Explicitly seeded: RED marking must replay identically.
+        self.rng = random.Random(0)
         self.avg_queue = 0.0
         self._fifo: Deque[Packet] = deque()
         self.red_dropped = 0
@@ -178,7 +176,7 @@ class RedQueue(QueueDiscipline):
         else:
             congestion = False
         if congestion:
-            if self.ecn and packet.ecn:
+            if packet.ecn:
                 packet.mark_ce()
                 self.ecn_marked += 1
             else:
@@ -291,8 +289,7 @@ class PriorityQueue(QueueDiscipline):
     """
 
     def __init__(self, capacity: int, n_bands: int = 8,
-                 default_priority: Optional[int] = None,
-                 ecn_threshold: Optional[int] = None):
+                 default_priority: Optional[int] = None):
         super().__init__()
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -305,7 +302,6 @@ class PriorityQueue(QueueDiscipline):
         self.capacity = capacity
         self.n_bands = n_bands
         self.default_priority = default_priority
-        self.ecn_threshold = ecn_threshold
         self._bands = [deque() for _ in range(n_bands)]
         self._total = 0
 
@@ -318,10 +314,6 @@ class PriorityQueue(QueueDiscipline):
     def _admit(self, packet: Packet, now: int) -> bool:
         if self._total >= self.capacity:
             return False
-        if (self.ecn_threshold is not None
-                and self._total + 1 > self.ecn_threshold and packet.ecn):
-            packet.mark_ce()
-            self.ecn_marked += 1
         self._bands[self._band_of(packet)].append(packet)
         self._total += 1
         return True

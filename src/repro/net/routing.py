@@ -8,7 +8,6 @@ MTP-enabled load balancer of Figure 6, in :mod:`repro.offloads.lb`).
 
 from __future__ import annotations
 
-import random
 import zlib
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
@@ -43,35 +42,22 @@ class EcmpSelector:
     Figure-6 experiment shows.
     """
 
-    def __init__(self, salt: int = 0):
-        self.salt = salt
-
     def select(self, packet: Packet, candidates: Sequence["Port"],
                now: int) -> "Port":
-        index = (stable_hash(packet.flow_label) ^ self.salt) % len(candidates)
-        return candidates[index]
+        return candidates[stable_hash(packet.flow_label) % len(candidates)]
 
 
 class PacketSpraySelector:
     """Per-packet spraying: balance perfectly, reorder freely.
 
-    ``mode`` is "round_robin" (deterministic) or "random".
+    Packets take the candidates in round-robin order.
     """
 
-    def __init__(self, mode: str = "round_robin",
-                 rng: Optional[random.Random] = None):
-        if mode not in ("round_robin", "random"):
-            raise ValueError(f"unknown spray mode {mode!r}")
-        self.mode = mode
-        #: Explicitly seeded default so random spraying replays identically;
-        #: inject a SeedSequence stream to decorrelate multiple sprayers.
-        self.rng = rng if rng is not None else random.Random(0)
+    def __init__(self) -> None:
         self._counter = 0
 
     def select(self, packet: Packet, candidates: Sequence["Port"],
                now: int) -> "Port":
-        if self.mode == "random":
-            return self.rng.choice(list(candidates))
         port = candidates[self._counter % len(candidates)]
         self._counter += 1
         return port
@@ -85,15 +71,14 @@ class AlternatingSelector:
     path in use flips every ``period_ns`` regardless of flows.
     """
 
-    def __init__(self, period_ns: int, offset_ns: int = 0):
+    def __init__(self, period_ns: int):
         if period_ns <= 0:
             raise ValueError("period must be positive")
         self.period_ns = period_ns
-        self.offset_ns = offset_ns
 
     def active_index(self, now: int, n_candidates: int) -> int:
         """Index of the path in use at virtual time ``now``."""
-        return ((now + self.offset_ns) // self.period_ns) % n_candidates
+        return (now // self.period_ns) % n_candidates
 
     def select(self, packet: Packet, candidates: Sequence["Port"],
                now: int) -> "Port":

@@ -224,7 +224,6 @@ def build_leaf_spine(sim: Simulator, n_leaves: int, n_spines: int,
 
 def build_proxy_chain(sim: Simulator, proxy: Node, client_rate_bps: int,
                       server_rate_bps: int, delay_ns: int,
-                      queue_factory: Optional[QueueFactory] = None,
                       ) -> Tuple[Network, Host, Host]:
     """Client --fast link--> proxy --slow link--> server (Figure 2).
 
@@ -236,9 +235,7 @@ def build_proxy_chain(sim: Simulator, proxy: Node, client_rate_bps: int,
     client = net.add_host("client")
     server = net.add_host("server")
     net.add_node(proxy)
-    net.connect(client, proxy, client_rate_bps, delay_ns,
-                queue_factory=queue_factory)
-    net.connect(proxy, server, server_rate_bps, delay_ns,
-                queue_factory=queue_factory)
+    net.connect(client, proxy, client_rate_bps, delay_ns)
+    net.connect(proxy, server, server_rate_bps, delay_ns)
     net.install_routes()
     return net, client, server

@@ -9,7 +9,8 @@ message is self-describing and independently acknowledgeable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.header import KIND_DATA, MtpHeader
 from ..net.link import Port
@@ -19,6 +20,13 @@ from ..sim.engine import Simulator
 from .injection import inject_message, spoof_ack
 
 __all__ = ["GradientChunk", "AggregatedChunk", "AggregationOffload"]
+
+#: Most (round, chunk) slots open at once; beyond it new chunks pass
+#: through unaggregated (bounded switch state).
+SLOT_BUDGET = 1024
+#: How many completed (round, chunk) keys are remembered, so that a late
+#: retransmission is re-ACKed instead of opening a slot that never fills.
+COMPLETED_MEMORY = 4096
 
 
 class GradientChunk:
@@ -64,15 +72,10 @@ class AggregationOffload:
         service_port: parameter-server port to interpose on.
         n_workers: contributions needed per (round, chunk).
         ps_address / ps_port: where aggregated chunks are sent.
-        reduce_fn: elementwise reduction (default: sum).
-        slot_budget: max concurrently open (round, chunk) slots; beyond it
-            new chunks pass through unaggregated (bounded switch state).
     """
 
     def __init__(self, sim: Simulator, service_port: int, n_workers: int,
-                 ps_address: int, ps_port: int,
-                 reduce_fn: Optional[Callable] = None,
-                 slot_budget: int = 1024):
+                 ps_address: int, ps_port: int):
         if n_workers <= 0:
             raise ValueError("need at least one worker")
         self.sim = sim
@@ -80,10 +83,10 @@ class AggregationOffload:
         self.n_workers = n_workers
         self.ps_address = ps_address
         self.ps_port = ps_port
-        self.reduce_fn = reduce_fn or (lambda a, b: a + b)
-        self.slot_budget = slot_budget
         #: (round, chunk) -> {"values": [...], "workers": set()}
         self._slots: Dict[Tuple[int, int], Dict] = {}
+        #: Recently completed (round, chunk) keys, oldest first.
+        self._completed: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self.chunks_absorbed = 0
         self.chunks_emitted = 0
         self.chunks_passed_through = 0
@@ -102,16 +105,21 @@ class AggregationOffload:
         if not isinstance(chunk, GradientChunk) or header.msg_len_pkts != 1:
             return None
         key = (chunk.round_id, chunk.chunk_id)
+        if key in self._completed:
+            # A late retransmission (its spoofed ACK was lost, or its RTO
+            # fired first): re-ACK it; the sum has already gone out.
+            spoof_ack(switch, packet, header)
+            return []
         slot = self._slots.get(key)
         if slot is None:
-            if len(self._slots) >= self.slot_budget:
+            if len(self._slots) >= SLOT_BUDGET:
                 self.chunks_passed_through += 1
                 return None
             slot = {"values": list(chunk.values), "workers": set(),
                     "size": packet.size}
             self._slots[key] = slot
         elif chunk.worker_id not in slot["workers"]:
-            slot["values"] = [self.reduce_fn(a, b) for a, b in
+            slot["values"] = [a + b for a, b in
                               zip(slot["values"], chunk.values)]
         if chunk.worker_id in slot["workers"]:
             # Duplicate (retransmission): just re-ACK, don't double count.
@@ -122,6 +130,9 @@ class AggregationOffload:
         spoof_ack(switch, packet, header)
         if len(slot["workers"]) == self.n_workers:
             del self._slots[key]
+            self._completed[key] = None
+            if len(self._completed) > COMPLETED_MEMORY:
+                self._completed.popitem(last=False)
             aggregated = AggregatedChunk(chunk.round_id, chunk.chunk_id,
                                          slot["values"], self.n_workers)
             inject_message(switch, src_address=packet.src,

@@ -31,18 +31,15 @@ class InNetworkCache:
         sim: the simulator (for timestamps on injected packets).
         service_port: the KVS service port to interpose on.
         capacity: maximum number of cached keys (switch SRAM is small).
-        serve_hits: when False the cache only observes (fill/invalidate)
-            without answering — useful for warming in experiments.
     """
 
     def __init__(self, sim: Simulator, service_port: int,
-                 capacity: int = 64, serve_hits: bool = True):
+                 capacity: int = 64):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.sim = sim
         self.service_port = service_port
         self.capacity = capacity
-        self.serve_hits = serve_hits
         self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -80,7 +77,7 @@ class InNetworkCache:
                 self.invalidations += 1
             return None
         entry = self._entries.get(request.key)
-        if entry is None or not self.serve_hits:
+        if entry is None:
             self.misses += 1
             return None
         value, value_size = entry

@@ -24,6 +24,8 @@ __all__ = ["TcpMtpGateway", "BridgeChunk", "GATEWAY_MTP_PORT"]
 
 #: MTP port the gateways speak to each other on.
 GATEWAY_MTP_PORT = 9000
+#: Most stream bytes carried by one bridge message.
+CHUNK_BYTES = 16 * 1460
 
 _session_ids = itertools.count(1)
 
@@ -89,21 +91,16 @@ class TcpMtpGateway(Host):
     """A TCP<->MTP bridge endpoint.
 
     On the client island: ``listen_port`` set — accepts TCP, forwards over
-    MTP to ``peer``.  On the server island: ``upstream`` set — receives
-    MTP, originates TCP to the legacy server.  The same instance may play
-    both roles (back-to-back islands).
+    MTP to ``peer``.  On the server island: ``upstream`` assigned the
+    legacy server's ``(address, port)`` — receives MTP, originates TCP to
+    it.  The same instance may play both roles (back-to-back islands).
     """
 
     def __init__(self, sim: Simulator, name: str,
-                 listen_port: Optional[int] = None,
-                 upstream: Optional[Tuple[int, int]] = None,
-                 chunk_bytes: int = 16 * 1460):
+                 listen_port: Optional[int] = None):
         super().__init__(sim, name)
-        if chunk_bytes <= 0:
-            raise ValueError("chunk size must be positive")
         self.listen_port = listen_port
-        self.upstream = upstream
-        self.chunk_bytes = chunk_bytes
+        self.upstream: Optional[Tuple[int, int]] = None
         self.peer_address: Optional[int] = None
         self.tcp = TcpStack(self)
         self.mtp = MtpStack(self)
@@ -144,7 +141,7 @@ class TcpMtpGateway(Host):
                      nbytes: int) -> None:
         remaining = nbytes
         while remaining > 0:
-            size = min(self.chunk_bytes, remaining)
+            size = min(CHUNK_BYTES, remaining)
             chunk = BridgeChunk(session.session_id, direction,
                                 session.send_offset, size)
             session.send_offset += size

@@ -8,8 +8,6 @@ response messages addressed to clients.  Injected responses carry the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.endpoint import ACK_SIZE
 from ..core.header import KIND_ACK, KIND_DATA, MtpHeader
 from ..core.message import Message
@@ -43,17 +41,14 @@ def spoof_ack(switch: Switch, data_packet: Packet,
 
 def inject_message(switch: Switch, src_address: int, dst_address: int,
                    src_port: int, dst_port: int, size: int, payload=None,
-                   tc: str = "default", priority: int = 0,
-                   max_payload: Optional[int] = None) -> Message:
+                   tc: str = "default", priority: int = 0) -> Message:
     """Emit a complete MTP message from within the network.
 
     Injection is fire-and-forget: the device keeps no retransmission state
     (bounded-state offloads).  The receiver still ACKs each packet; those
     ACKs land at ``src_address``, whose endpoint ignores unknown message ids.
     """
-    kwargs = {"max_payload": max_payload} if max_payload else {}
-    message = Message(size, priority=priority, tc=tc, payload=payload,
-                      **kwargs)
+    message = Message(size, priority=priority, tc=tc, payload=payload)
     for pkt_num, pkt_len in enumerate(message.packet_sizes):
         header = MtpHeader(KIND_DATA, src_port, dst_port, message.msg_id,
                            priority=priority, msg_len_bytes=message.size,

@@ -3,11 +3,10 @@
 An intrusion-detection offload needs to see *whole requests* with bounded
 state — exactly what MTP's self-describing, atomic messages provide.  The
 :class:`InspectionOffload` applies a predicate to each complete message's
-payload: flagged messages are dropped (and counted) or passed through in
-monitor-only mode.  Multi-packet messages are inspected on their first
-packet (the payload object rides on every packet), so no reassembly buffer
-is needed at all — contrast with a TCP IDS that must reassemble the byte
-stream.
+payload: flagged messages are dropped and counted.  Multi-packet messages
+are inspected on their first packet (the payload object rides on every
+packet), so no reassembly buffer is needed at all — contrast with a TCP IDS
+that must reassemble the byte stream.
 """
 
 from __future__ import annotations
@@ -24,20 +23,17 @@ __all__ = ["InspectionOffload"]
 
 
 class InspectionOffload:
-    """Drops (or just counts) messages whose payload a predicate flags.
+    """Drops and counts messages whose payload a predicate flags.
 
     Args:
         flag: ``flag(payload) -> bool``; True means malicious/unwanted.
         match_port: restrict to one destination port (None = all MTP).
-        monitor_only: when True, flagged traffic is counted but forwarded.
     """
 
     def __init__(self, flag: Callable[[object], bool],
-                 match_port: Optional[int] = None,
-                 monitor_only: bool = False):
+                 match_port: Optional[int] = None):
         self.flag = flag
         self.match_port = match_port
-        self.monitor_only = monitor_only
         self.messages_inspected = 0
         self.messages_flagged = 0
         self.packets_dropped = 0
@@ -77,7 +73,7 @@ class InspectionOffload:
                 self._verdicts[key] = verdict
         if header.is_last_packet:
             self._verdicts.pop(key, None)
-        if verdict and not self.monitor_only:
+        if verdict:
             self.packets_dropped += 1
             return []
         return None

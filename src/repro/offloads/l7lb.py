@@ -12,7 +12,6 @@ and observed response latency, C3-style) to steer future requests.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from ..apps.kvs import KvRequest, KvResponse
@@ -26,18 +25,17 @@ __all__ = ["Replica", "L7LoadBalancer"]
 class Replica:
     """A backend replica as seen by the balancer."""
 
-    def __init__(self, address: int, port: int, weight: float = 1.0):
+    def __init__(self, address: int, port: int):
         self.address = address
         self.port = port
-        self.weight = weight
         self.outstanding = 0
         self.completed = 0
         self.ewma_latency_ns: Optional[float] = None
 
     def score(self) -> float:
-        """Lower is better: outstanding load over capacity weight."""
+        """Lower is better: outstanding load plus a latency penalty."""
         latency_penalty = (self.ewma_latency_ns or 0.0) / 1e6
-        return (self.outstanding + latency_penalty) / self.weight
+        return self.outstanding + latency_penalty
 
     def __repr__(self) -> str:
         return (f"<Replica {self.address}:{self.port} "
@@ -45,27 +43,21 @@ class Replica:
 
 
 class L7LoadBalancer:
-    """Replica-selecting message load balancer.
+    """Least-loaded message load balancer.
+
+    Each request goes to the replica with the lowest :meth:`Replica.score`.
 
     Args:
         endpoint: the balancer's MTP endpoint (clients send requests here).
         replicas: backend list.
-        policy: "least_loaded" (default), "round_robin", or "weighted".
     """
 
-    _POLICIES = ("least_loaded", "round_robin", "weighted")
-
-    def __init__(self, endpoint: MtpEndpoint, replicas: List[Replica],
-                 policy: str = "least_loaded"):
+    def __init__(self, endpoint: MtpEndpoint, replicas: List[Replica]):
         if not replicas:
             raise ValueError("need at least one replica")
-        if policy not in self._POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
         self.endpoint = endpoint
         self.sim: Simulator = endpoint.sim
         self.replicas = replicas
-        self.policy = policy
-        self._round_robin = itertools.cycle(range(len(replicas)))
         #: request id -> (client_address, client_reply_port, replica, t0)
         self._pending: Dict[int, tuple] = {}
         self.requests_forwarded = 0
@@ -93,13 +85,7 @@ class L7LoadBalancer:
     # -- balancing -----------------------------------------------------------
 
     def choose_replica(self) -> Replica:
-        """Pick a replica according to the configured policy."""
-        if self.policy == "round_robin":
-            return self.replicas[next(self._round_robin)]
-        if self.policy == "weighted":
-            return min(self.replicas,
-                       key=lambda replica: replica.outstanding
-                       / replica.weight)
+        """The replica with the lowest score (first one on a tie)."""
         return min(self.replicas, key=Replica.score)
 
     def _on_message(self, endpoint: MtpEndpoint,

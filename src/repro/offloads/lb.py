@@ -18,6 +18,10 @@ from ..net.packet import Packet
 
 __all__ = ["MessageAwareSelector"]
 
+#: Most messages a selector keeps pinned at once; past it the oldest
+#: assignment is forgotten.
+MAX_TRACKED_MESSAGES = 65536
+
 
 class MessageAwareSelector:
     """Per-message sticky selector with size-aware least-loaded placement.
@@ -29,8 +33,7 @@ class MessageAwareSelector:
     least-queued per packet.
     """
 
-    def __init__(self, max_tracked_messages: int = 65536):
-        self.max_tracked_messages = max_tracked_messages
+    def __init__(self) -> None:
         #: (src, msg_id) -> assigned Port
         self._assignments: Dict[Tuple[int, int], Port] = {}
         #: id(port) -> bytes assigned but not yet transmitted through it
@@ -63,7 +66,7 @@ class MessageAwareSelector:
         self._unserved[id(port)] = (self._unserved.get(id(port), 0)
                                     + header.msg_len_bytes)
         self.messages_assigned += 1
-        if len(self._assignments) > self.max_tracked_messages:
+        if len(self._assignments) > MAX_TRACKED_MESSAGES:
             # Oldest entries correspond to long-finished messages whose last
             # packet we never matched (e.g. retransmitted elsewhere).
             oldest = next(iter(self._assignments))

@@ -113,32 +113,28 @@ class ProxySession:
 class TcpProxy(Host):
     """A host that terminates client TCP connections and re-originates them.
 
+    Both legs run TCP Reno.  In bounded mode the receive window advertised
+    to clients is ``buffer_limit``.
+
     Args:
         listen_port: port clients connect to.
         server_address / server_port: where relayed connections go.
         buffer_limit: per-session proxy buffer in bytes, or None for
             unbounded (the two modes of Figure 2).
-        client_recv_buffer: receive window advertised to clients in bounded
-            mode (defaults to ``buffer_limit``).
     """
 
     def __init__(self, sim: Simulator, name: str, listen_port: int = 80,
                  server_port: int = 80,
-                 buffer_limit: Optional[int] = None,
-                 client_recv_buffer: Optional[int] = None,
-                 tcp_variant: str = "reno"):
+                 buffer_limit: Optional[int] = None):
         super().__init__(sim, name)
         self.listen_port = listen_port
         self.server_port = server_port
         self.buffer_limit = buffer_limit
-        self.tcp_variant = tcp_variant
         self.server_address: Optional[int] = None
         self.sessions: List[ProxySession] = []
         self.stack = TcpStack(self)
-        recv_buffer = client_recv_buffer if client_recv_buffer is not None \
-            else buffer_limit
-        self.stack.listen(listen_port, self._accept, variant=tcp_variant,
-                          recv_buffer=recv_buffer,
+        self.stack.listen(listen_port, self._accept,
+                          recv_buffer=buffer_limit,
                           auto_drain=buffer_limit is None)
 
     def set_server(self, server_address: int) -> None:
@@ -157,8 +153,7 @@ class TcpProxy(Host):
         upstream = self.stack.connect(
             self.server_address, self.server_port,
             ConnectionCallbacks(
-                on_connected=session.on_upstream_connected),
-            variant=self.tcp_variant)
+                on_connected=session.on_upstream_connected))
         upstream.on_send_progress = session.on_upstream_progress
         session.upstream = upstream
         return ConnectionCallbacks(on_data=session.on_client_data,

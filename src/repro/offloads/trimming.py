@@ -22,52 +22,42 @@ __all__ = ["TrimmingQueue", "TRIMMED_PACKET_SIZE"]
 
 #: Wire size of a trimmed (header-only) packet.
 TRIMMED_PACKET_SIZE = 64
+#: Trimmed-header queue capacity (headers are tiny, so this can be
+#: generous; overflowing it finally drops).
+HEADER_CAPACITY = 1024
 
 
 class TrimmingQueue(QueueDiscipline):
     """Drop-tail data queue plus a priority queue of trimmed headers.
 
+    The FB_TRIM feedback entry a trim appends names pathlet 0, class 0.
+
     Args:
         capacity: data-queue capacity in packets.
-        header_capacity: trimmed-header queue capacity (headers are tiny, so
-            this can be generous; overflowing it finally drops).
-        pathlet_id / tc: identity stamped into the FB_TRIM feedback entry.
-        ecn_threshold: optional DCTCP-style marking on the data queue.
     """
 
-    def __init__(self, capacity: int, header_capacity: int = 1024,
-                 pathlet_id: int = 0, tc: int = 0,
-                 ecn_threshold: Optional[int] = None):
+    def __init__(self, capacity: int):
         super().__init__()
-        if capacity <= 0 or header_capacity <= 0:
-            raise ValueError("capacities must be positive")
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.header_capacity = header_capacity
-        self.pathlet_id = pathlet_id
-        self.tc = tc
-        self.ecn_threshold = ecn_threshold
         self._data: Deque[Packet] = deque()
         self._headers: Deque[Packet] = deque()
         self.packets_trimmed = 0
 
     def _admit(self, packet: Packet, now: int) -> bool:
         if len(self._data) < self.capacity:
-            if (self.ecn_threshold is not None
-                    and len(self._data) + 1 > self.ecn_threshold
-                    and packet.ecn):
-                packet.mark_ce()
-                self.ecn_marked += 1
             self._data.append(packet)
             return True
         # Data queue full: trim MTP data packets, drop everything else.
         header = packet.header
         if (packet.protocol == "mtp" and isinstance(header, MtpHeader)
                 and header.kind == KIND_DATA
-                and len(self._headers) < self.header_capacity):
+                and len(self._headers) < HEADER_CAPACITY):
             packet.size = TRIMMED_PACKET_SIZE
             header.payload = None  # the payload is gone
             header.path_feedback.append(
-                (self.pathlet_id, self.tc, Feedback(FB_TRIM, 1.0)))
+                (0, 0, Feedback(FB_TRIM, 1.0)))
             self._headers.append(packet)
             self.packets_trimmed += 1
             return True

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 __all__ = ["percentile", "jain_fairness", "FctCollector", "summarize"]
 
@@ -55,35 +55,27 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 
 
 class FctCollector:
-    """Collects message/flow completion records for FCT-style analysis.
+    """Collects message/flow completion times for FCT-style analysis.
 
-    Records are ``(size_bytes, completion_ns, tag)``; queries slice by tag
-    and size range.  This backs the Figure-6 tail-FCT comparison.
+    This backs the Figure-6 tail-FCT comparison.
     """
 
     def __init__(self) -> None:
-        self._records: List[Tuple[int, int, str]] = []
+        self._completions: List[int] = []
 
-    def record(self, size_bytes: int, completion_ns: int,
-               tag: str = "") -> None:
+    def record(self, completion_ns: int) -> None:
         """Add one completion."""
         if completion_ns < 0:
             raise ValueError("completion time must be non-negative")
-        self._records.append((size_bytes, completion_ns, tag))
+        self._completions.append(completion_ns)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._completions)
 
-    def completions(self, tag: Optional[str] = None,
-                    min_size: int = 0,
-                    max_size: Optional[int] = None) -> List[int]:
-        """Completion times filtered by tag and size range."""
-        return [fct for size, fct, record_tag in self._records
-                if (tag is None or record_tag == tag)
-                and size >= min_size
-                and (max_size is None or size <= max_size)]
+    def completions(self) -> List[int]:
+        """Completion times in the order they were recorded."""
+        return list(self._completions)
 
-    def tail(self, pct: float = 99.0, tag: Optional[str] = None,
-             min_size: int = 0, max_size: Optional[int] = None) -> float:
-        """Tail completion time (default p99) over the selected records."""
-        return percentile(self.completions(tag, min_size, max_size), pct)
+    def tail(self, pct: float = 99.0) -> float:
+        """Tail completion time (default p99) over every record."""
+        return percentile(self._completions, pct)

@@ -36,6 +36,8 @@ _connection_ids = itertools.count(1)
 PACKET_THRESHOLD = 3
 
 MAX_PAYLOAD = 1460
+#: Initial congestion window in packets.
+INIT_CWND_SEGMENTS = 10
 
 
 class QuicHeader:
@@ -150,7 +152,7 @@ class QuicConnection:
     def __init__(self, stack: QuicStack, remote_address: int,
                  remote_port: int, callbacks: ConnectionCallbacks,
                  connection_id: int, is_client: bool,
-                 mss: int = MAX_PAYLOAD, init_cwnd_segments: int = 10,
+                 mss: int = MAX_PAYLOAD,
                  min_rto_ns: int = microseconds(200), entity: str = ""):
         self.stack = stack
         self.sim = stack.sim
@@ -165,7 +167,7 @@ class QuicConnection:
         self.established = False  # set by the handshake on both sides
 
         # Congestion control: one window for the whole connection.
-        self.cwnd = init_cwnd_segments * mss
+        self.cwnd = INIT_CWND_SEGMENTS * mss
         self.ssthresh = 1 << 48
         self._pipe = 0
         self.srtt: Optional[int] = None

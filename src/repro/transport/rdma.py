@@ -38,6 +38,12 @@ __all__ = ["RdmaStack", "RcQueuePair", "UcQueuePair", "UdQueuePair",
 #: A UD message must fit in one packet.
 RDMA_MAX_UD_PAYLOAD = MTU - DEFAULT_HEADER_BYTES
 
+#: An RC receiver ACKs every this many in-order packets (and at a
+#: message's end).
+RC_ACK_EVERY = 4
+#: RC sender's retransmission timeout.
+RC_RETRANSMIT_TIMEOUT_NS = microseconds(500)
+
 _qp_numbers = itertools.count(1)
 
 
@@ -100,8 +106,7 @@ class _BaseQueuePair:
 
     def __init__(self, stack: RdmaStack, qp_number: int,
                  rate_bps: int = 10 ** 10,
-                 on_message: Optional[Callable] = None,
-                 jitter_rng: Optional[random.Random] = None):
+                 on_message: Optional[Callable] = None):
         self.stack = stack
         self.sim = stack.sim
         self.qp_number = qp_number
@@ -114,11 +119,8 @@ class _BaseQueuePair:
         # Small pacing jitter (deterministic per QP): real NICs are not
         # perfectly periodic, and without it a congested drop-tail queue
         # can phase-lock against the pacer and starve one PSN forever.
-        # The stream is injectable (e.g. SeedSequence(seed).stream(f"qp{n}"))
-        # so experiment-wide seeding reaches the pacer; the per-QP-number
-        # fallback keeps the old behaviour reproducible.
-        self._jitter = jitter_rng if jitter_rng is not None \
-            else random.Random(qp_number)
+        # Seeded by the QP number, so runs replay identically.
+        self._jitter = random.Random(qp_number)
         #: (psn_or_None, msg_id, pkt_num, n_pkts, size) — None means
         #: "allocate the next PSN at transmit time"; retransmissions carry
         #: their original PSN (as InfiniBand does).
@@ -240,11 +242,8 @@ class RcQueuePair(_BaseQueuePair):
     from there.  Correct on a single path; pathological under reordering.
     """
 
-    def __init__(self, *args, ack_every: int = 4,
-                 retransmit_timeout_ns: int = microseconds(500), **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.ack_every = ack_every
-        self.retransmit_timeout_ns = retransmit_timeout_ns
         # Sender retransmission state: everything unacked is kept.
         self._unacked: "deque[Tuple[int, int, int, int, int]]" = deque()
         # entries: (psn, msg_id, pkt_num, n_pkts, chunk)
@@ -267,7 +266,7 @@ class RcQueuePair(_BaseQueuePair):
                                   chunk))
         super()._transmit_data(psn, msg_id, pkt_num, n_pkts, chunk)
         if not self._retx_timer.running:
-            self._retx_timer.restart(self.retransmit_timeout_ns)
+            self._retx_timer.restart(RC_RETRANSMIT_TIMEOUT_NS)
 
     def _rewind_to(self, psn: int) -> None:
         """Go-back-N: re-send every unacked packet from ``psn`` onward,
@@ -289,7 +288,7 @@ class RcQueuePair(_BaseQueuePair):
     def _on_timeout(self) -> None:
         if self._unacked:
             self._rewind_to(self._unacked[0][0])
-            self._retx_timer.restart(self.retransmit_timeout_ns)
+            self._retx_timer.restart(RC_RETRANSMIT_TIMEOUT_NS)
 
     # -- receiver ----------------------------------------------------------
 
@@ -322,7 +321,7 @@ class RcQueuePair(_BaseQueuePair):
             self.messages_delivered += 1
             self.on_message(self, packet.src, progress[1])
         self._since_ack += 1
-        if self._since_ack >= self.ack_every or complete:
+        if self._since_ack >= RC_ACK_EVERY or complete:
             self._since_ack = 0
             self._send_control("ack", self._expected_psn, packet.src,
                                header.src_qp)
@@ -331,7 +330,7 @@ class RcQueuePair(_BaseQueuePair):
         while self._unacked and self._unacked[0][0] < psn:
             self._unacked.popleft()
         if self._unacked:
-            self._retx_timer.restart(self.retransmit_timeout_ns)
+            self._retx_timer.restart(RC_RETRANSMIT_TIMEOUT_NS)
         else:
             self._retx_timer.stop()
 

@@ -35,6 +35,13 @@ FLAG_FIN = 0x4
 
 #: Practically infinite receive window for "unlimited buffer" experiments.
 UNLIMITED_WINDOW = 1 << 48
+#: Initial congestion window in segments (RFC 6928).
+INIT_CWND_SEGMENTS = 10
+#: DCTCP's EWMA gain for ``alpha`` (Alizadeh et al., SIGCOMM'10).
+DCTCP_G = 1.0 / 16.0
+#: Swift's multiplicative-decrease gain and its floor on one decrease.
+SWIFT_BETA = 0.8
+SWIFT_MAX_DECREASE = 0.5
 
 
 class TcpHeader:
@@ -161,14 +168,10 @@ class TcpConnection:
     def __init__(self, stack: TcpStack, local_port: int, remote_address: int,
                  remote_port: int, callbacks: ConnectionCallbacks,
                  variant: str = "reno", mss: int = 1460,
-                 init_cwnd_segments: int = 10,
                  min_rto_ns: int = microseconds(200),
                  recv_buffer: Optional[int] = None,
                  auto_drain: bool = True,
-                 dctcp_g: float = 1.0 / 16.0,
                  swift_target_delay_ns: Optional[int] = None,
-                 swift_beta: float = 0.8,
-                 swift_max_decrease: float = 0.5,
                  max_retries: int = 10,
                  max_rto_ns: int = microseconds(500_000),
                  entity: str = "", meta_id: int = 0):
@@ -203,8 +206,8 @@ class TcpConnection:
         self.state = "closed"
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = init_cwnd_segments * mss
-        self.init_cwnd = init_cwnd_segments * mss
+        self.cwnd = INIT_CWND_SEGMENTS * mss
+        self.init_cwnd = INIT_CWND_SEGMENTS * mss
         self.ssthresh = UNLIMITED_WINDOW
         self.peer_wnd = mss  # until first ACK tells us better
         self.peer_ack = 0
@@ -241,7 +244,6 @@ class TcpConnection:
 
         # DCTCP state.
         self.alpha = 1.0
-        self.dctcp_g = dctcp_g
         self._win_acked = 0
         self._win_marked = 0
         self._alpha_window_end = 0
@@ -252,8 +254,6 @@ class TcpConnection:
         self.swift_target_delay_ns = (
             swift_target_delay_ns if swift_target_delay_ns is not None
             else microseconds(25))
-        self.swift_beta = swift_beta
-        self.swift_max_decrease = swift_max_decrease
         self._min_rtt: Optional[int] = None
         self._swift_md_until = -1
 
@@ -802,8 +802,8 @@ class TcpConnection:
         if self.snd_una >= self._alpha_window_end:
             if self._win_acked > 0:
                 fraction = self._win_marked / self._win_acked
-                self.alpha = ((1 - self.dctcp_g) * self.alpha
-                              + self.dctcp_g * fraction)
+                self.alpha = ((1 - DCTCP_G) * self.alpha
+                              + DCTCP_G * fraction)
             self._win_acked = 0
             self._win_marked = 0
             self._alpha_window_end = self.snd_nxt
@@ -829,8 +829,7 @@ class TcpConnection:
         elif self.sim.now > self._swift_md_until:
             self._swift_md_until = self.sim.now + (self.srtt or rtt_sample)
             over = (delay - self.swift_target_delay_ns) / max(delay, 1)
-            factor = max(1 - self.swift_beta * over,
-                         self.swift_max_decrease)
+            factor = max(1 - SWIFT_BETA * over, SWIFT_MAX_DECREASE)
             self.cwnd = max(self.mss, int(self.cwnd * factor))
             self.ssthresh = self.cwnd
 

@@ -23,6 +23,8 @@ _datagram_ids = itertools.count(1)
 
 #: Maximum UDP payload per packet.
 UDP_PAYLOAD = MTU - DEFAULT_HEADER_BYTES
+#: A partly received datagram is dropped this long after its first packet.
+REASSEMBLY_TIMEOUT_NS = milliseconds(10)
 
 
 class UdpHeader:
@@ -83,14 +85,12 @@ class UdpSocket:
 
     def __init__(self, stack: UdpStack, port: int,
                  on_datagram: Optional[Callable] = None,
-                 reassembly_timeout_ns: int = milliseconds(10),
                  entity: str = ""):
         self.stack = stack
         self.sim = stack.sim
         self.port = port
         self.entity = entity
         self.on_datagram = on_datagram or (lambda sock, src, size: None)
-        self.reassembly_timeout_ns = reassembly_timeout_ns
         self._partial: Dict[Tuple[int, int], Dict] = {}
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -127,9 +127,9 @@ class UdpSocket:
         state = self._partial.get(key)
         if state is None:
             state = {"fragments": set(), "deadline": self.sim.now
-                     + self.reassembly_timeout_ns}
+                     + REASSEMBLY_TIMEOUT_NS}
             self._partial[key] = state
-            self.sim.schedule(self.reassembly_timeout_ns, self._expire, key)
+            self.sim.schedule(REASSEMBLY_TIMEOUT_NS, self._expire, key)
         state["fragments"].add(header.fragment)
         if len(state["fragments"]) == header.n_fragments:
             del self._partial[key]

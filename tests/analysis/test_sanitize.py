@@ -8,13 +8,15 @@ import pytest
 from repro.analysis import (PacketLedger, SanitizerError, SanitizingSimulator,
                             audit_network_queues, audit_queue)
 from repro.apps import KvsClient, KvsServer
-from repro.core import MtpStack
+from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
-from repro.net import DropTailQueue, Network
+from repro.net import DropTailQueue, Network, PacketSpraySelector
 from repro.net.packet import Packet
-from repro.offloads import AggregationOffload, GradientChunk, InNetworkCache
-from repro.sim import Simulator, microseconds, milliseconds
+from repro.offloads import (AggregationOffload, GradientChunk, InNetworkCache,
+                            TcpMtpGateway)
+from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.transport import ConnectionCallbacks, TcpStack
 
 
 def noop(*args):
@@ -290,6 +292,74 @@ class TestOffloadConservation:
         assert report.ok, report.summary()
         assert [chunk.values for chunk in received] == [[3.0, 6.0]]
         assert report.consumed == offload.chunks_absorbed == 3
+
+    def test_late_duplicate_chunk_is_reacked_not_reaggregated(self):
+        sim = SanitizingSimulator(ledger=PacketLedger())
+        switch, hosts, stacks = build_star(sim, 3)
+        received = []
+        stacks[0].endpoint(port=900, on_message=lambda endpoint, message:
+                           received.append(message.payload))
+        offload = AggregationOffload(sim, service_port=900, n_workers=2,
+                                     ps_address=hosts[0].address,
+                                     ps_port=900)
+        switch.add_processor(offload)
+        workers = [stack.endpoint() for stack in stacks[1:]]
+        for worker_id, endpoint in enumerate(workers):
+            endpoint.send_message(
+                hosts[0].address, 900, 1000,
+                payload=GradientChunk(1, 0, worker_id, [1.0, 2.0]))
+        # Worker 0's chunk again, after the sum has gone out.
+        sim.schedule(milliseconds(1), lambda: workers[0].send_message(
+            hosts[0].address, 900, 1000,
+            payload=GradientChunk(1, 0, 0, [1.0, 2.0])))
+        sim.run(until=milliseconds(5))
+        report = sim.ledger.finalize(sim)
+        assert report.ok, report.summary()
+        assert [chunk.values for chunk in received] == [[2.0, 4.0]]
+        assert offload.chunks_absorbed == 2
+        assert report.consumed == 3
+
+    def test_tcp_bridge_gateways_conserve_packets(self):
+        # The examples/tcp_bridge.py topology: TCP islands around a
+        # sprayed two-path MTP core.
+        sim = SanitizingSimulator(ledger=PacketLedger())
+        net = Network(sim)
+        client = net.add_host("client")
+        server = net.add_host("server")
+        gw_a = TcpMtpGateway(sim, "gwA", listen_port=80)
+        gw_b = TcpMtpGateway(sim, "gwB")
+        net.add_node(gw_a)
+        net.add_node(gw_b)
+        sw1 = net.add_switch("sw1", selector=PacketSpraySelector())
+        sw2 = net.add_switch("sw2")
+        queue = lambda: DropTailQueue(128, 20)
+        net.connect(client, gw_a, gbps(10), microseconds(2))
+        net.connect(gw_a, sw1, gbps(10), microseconds(2),
+                    queue_factory=queue)
+        path_a = net.connect(sw1, sw2, gbps(10), microseconds(5),
+                             queue_factory=queue)
+        path_b = net.connect(sw1, sw2, gbps(10), microseconds(7),
+                             queue_factory=queue)
+        net.connect(sw2, gw_b, gbps(10), microseconds(2), queue_factory=queue)
+        net.connect(gw_b, server, gbps(10), microseconds(2))
+        net.install_routes()
+        registry = PathletRegistry(sim)
+        registry.register(path_a.port_a, EcnFeedbackSource(20))
+        registry.register(path_b.port_a, EcnFeedbackSource(20))
+        gw_a.set_peer(gw_b.address)
+        gw_b.set_peer(gw_a.address)
+        gw_b.upstream = (server.address, 80)
+        received = [0]
+        TcpStack(server).listen(80, lambda conn: ConnectionCallbacks(
+            on_data=lambda c, n: received.__setitem__(0, received[0] + n)))
+        TcpStack(client).connect(gw_a.address, 80, ConnectionCallbacks(
+            on_connected=lambda c: c.send(200_000)))
+        sim.run(until=milliseconds(100))
+        report = sim.ledger.finalize(sim)
+        assert received[0] == 200_000
+        assert report.ok, report.summary()
+        assert report.injected == report.delivered > 0
+        assert not report.leaked
 
 
 class TestExperimentConservation:

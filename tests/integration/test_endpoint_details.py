@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (EcnFeedbackSource, KIND_ACK, MtpStack,
                         PathletRegistry)
+from repro.core.endpoint import MIN_RTO_NS
 from repro.net import DeterministicDropProcessor, DropTailQueue, Network
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
 
@@ -37,7 +38,7 @@ class TestRetransmissionTimer:
         sender.send_message(b.address, 100, 50_000)
         sim.run(until=milliseconds(10))
         assert sender.srtt is not None
-        assert sender.rto_ns >= sender.stack.min_rto_ns
+        assert sender.rto_ns >= MIN_RTO_NS
         assert sender.rto_ns >= sender.srtt
 
     def test_timer_idle_when_nothing_outstanding(self, sim):

@@ -40,7 +40,7 @@ def pipeline(sim):
     registry.register(path_a.port_a, EcnFeedbackSource(20))
     registry.register(path_b.port_a, EcnFeedbackSource(20))
     balancer = L7LoadBalancer(MtpStack(lb_host).endpoint(port=700),
-                              replicas, policy="round_robin")
+                              replicas)
     cache = InNetworkCache(sim, service_port=700, capacity=4)
     tor1.add_processor(cache)
     client = KvsClient(MtpStack(client_host).endpoint(),
@@ -85,20 +85,14 @@ class TestFigure1Pipeline:
 
     def test_misses_balanced_across_replicas(self, sim, pipeline):
         client, servers, balancer, cache = pipeline
-        cache.serve_hits = False  # force everything to the backend
-
-        def issue(count=[0]):
-            if count[0] >= 20:
-                return
-            count[0] += 1
-            client.get("cold")
-            sim.schedule(microseconds(50), issue)
-
-        issue()
+        for index in range(20):
+            client.get(f"key{index}")  # distinct keys: every GET misses
         sim.run(until=milliseconds(100))
         distribution = balancer.distribution()
+        assert cache.hits == 0
         assert sum(distribution) == 20
-        assert distribution == [10, 10]  # round robin
+        # All 20 are outstanding at once, so least-loaded alternates.
+        assert distribution == [10, 10]
 
     def test_fabric_paths_learned(self, sim, pipeline):
         client, servers, balancer, cache = pipeline

@@ -102,7 +102,7 @@ class TestBridging:
         """The MTP core may spray chunk messages across parallel paths;
         the gateways restore stream order for the legacy endpoints."""
         net, client, server, gw_a, gw_b = bridged_islands(
-            sim, core_selector=PacketSpraySelector("round_robin"),
+            sim, core_selector=PacketSpraySelector(),
             parallel_core=True)
         received = [0]
         TcpStack(server).listen(80, lambda conn: ConnectionCallbacks(

@@ -73,20 +73,6 @@ class TestInspection:
         assert calls[0] == 1  # one verdict per message, not per packet
         assert ids.open_verdicts == 0  # state released at last packet
 
-    def test_monitor_only_forwards_flagged(self, sim):
-        net, a, b, sw = switched_pair(sim)
-        ids = InspectionOffload(is_malicious, monitor_only=True)
-        sw.add_processor(ids)
-        inbox = []
-        MtpStack(b).endpoint(port=100,
-                             on_message=lambda ep, msg: inbox.append(msg))
-        MtpStack(a).endpoint().send_message(b.address, 100, 2000,
-                                            payload={"evil": True})
-        sim.run(until=milliseconds(5))
-        assert len(inbox) == 1
-        assert ids.messages_flagged == 1
-        assert ids.packets_dropped == 0
-
     def test_port_scoping(self, sim):
         net, a, b, sw = switched_pair(sim)
         ids = InspectionOffload(is_malicious, match_port=100)

@@ -89,7 +89,7 @@ class TestTransportsAcrossFabric:
 
     def test_spraying_still_delivers_mtp(self, sim):
         net, hosts, leaves, spines = fabric(
-            sim, selector=PacketSpraySelector("round_robin"))
+            sim, selector=PacketSpraySelector())
         src, dst = hosts[0], hosts[4]
         inbox = []
         MtpStack(dst).endpoint(port=100,

@@ -154,25 +154,6 @@ class TestInNetworkCache:
 
 
 class TestL7LoadBalancer:
-    def test_spreads_requests(self, sim):
-        net, sw, hosts, stacks = star_mtp(sim, 5)
-        client_host, lb_host = hosts[0], hosts[1]
-        replica_hosts = hosts[2:]
-        replicas = []
-        for host, stack in zip(replica_hosts, stacks[2:]):
-            endpoint = stack.endpoint(port=700)
-            RpcServer(endpoint, handler=lambda method, args: "ok")
-            replicas.append(Replica(host.address, 700))
-        lb_endpoint = stacks[1].endpoint(port=700)
-        balancer = L7LoadBalancer(lb_endpoint, replicas,
-                                  policy="round_robin")
-        client = RpcClient(stacks[0].endpoint(), lb_host.address, 700)
-        for _ in range(30):
-            client.call("work")
-        sim.run(until=milliseconds(50))
-        assert len(client.completed) == 30
-        assert balancer.distribution() == [10, 10, 10]
-
     def test_least_loaded_avoids_slow_replica(self, sim):
         net, sw, hosts, stacks = star_mtp(sim, 4)
         lb_host = hosts[1]
@@ -183,8 +164,7 @@ class TestL7LoadBalancer:
             RpcServer(endpoint, handler=lambda method, args: "ok",
                       service_time_ns=service)
             replicas.append(Replica(host.address, 700))
-        balancer = L7LoadBalancer(stacks[1].endpoint(port=700), replicas,
-                                  policy="least_loaded")
+        balancer = L7LoadBalancer(stacks[1].endpoint(port=700), replicas)
         client = RpcClient(stacks[0].endpoint(), lb_host.address, 700)
 
         def issue(count=[0]):

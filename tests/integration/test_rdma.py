@@ -117,7 +117,7 @@ class TestRc:
 
         ecmp_done, ecmp_discarded, _ = run(EcmpSelector())
         spray_done, spray_discarded, spray_retx = run(
-            PacketSpraySelector("round_robin"))
+            PacketSpraySelector())
         assert ecmp_done == 5
         assert ecmp_discarded == 0
         # Spraying: the receiver keeps seeing out-of-order PSNs.

@@ -59,7 +59,7 @@ charge_events = st.lists(
 @given(charge_events)
 @settings(max_examples=200)
 def test_charge_uncharge_returns_to_zero(events):
-    manager = PathletCcManager(mss=MSS)
+    manager = PathletCcManager()
     for path, tc, nbytes in events:
         manager.charge(path, tc, nbytes)
     for path, tc, nbytes in events:
@@ -72,7 +72,7 @@ def test_charge_uncharge_returns_to_zero(events):
 @given(charge_events)
 @settings(max_examples=200)
 def test_inflight_never_negative(events):
-    manager = PathletCcManager(mss=MSS)
+    manager = PathletCcManager()
     for path, tc, nbytes in events:
         # Interleave spurious uncharges: inflight must clamp at zero.
         manager.uncharge(path, tc, nbytes)
@@ -86,7 +86,7 @@ def test_inflight_never_negative(events):
                 min_size=1, max_size=100))
 @settings(max_examples=100)
 def test_feedback_only_touches_reported_pathlet(events):
-    manager = PathletCcManager(mss=MSS)
+    manager = PathletCcManager()
     untouched = manager.window(99, "default")
     now = 0
     for pathlet_id, marked in events:

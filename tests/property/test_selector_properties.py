@@ -33,22 +33,13 @@ class TestEcmp:
         assert len(choices) == 1
         assert selector.select(packet, ports, 0) in ports
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=100)
-    def test_salt_changes_only_the_mapping_not_validity(self, salt_a,
-                                                        salt_b):
-        ports = make_ports(4)
-        packet = Packet(1, 2, 100, "t", flow_label=(1, 2, 3))
-        assert EcmpSelector(salt_a).select(packet, ports, 0) in ports
-        assert EcmpSelector(salt_b).select(packet, ports, 0) in ports
-
 
 class TestSpray:
     @given(st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=100))
     @settings(max_examples=100)
     def test_round_robin_is_perfectly_balanced(self, n_ports, rounds):
-        selector = PacketSpraySelector("round_robin")
+        selector = PacketSpraySelector()
         ports = make_ports(n_ports)
         counts = {id(port): 0 for port in ports}
         for _ in range(rounds * n_ports):

@@ -113,14 +113,6 @@ class TestSwitchForwarding:
         sim.run()
         assert ledger.drop_reasons == {"sw:no_route": 1}
 
-    def test_hop_recording(self, sim):
-        net, a, b, sw, sink = self.build_line(sim)
-        sw.record_hops = True
-        packet = Packet(a.address, b.address, 100, "test")
-        a.send(packet)
-        sim.run()
-        assert packet.hops == ["sw"]
-
     def test_consuming_processor(self, sim):
         ledger = sim.ledger = PacketLedger()
         net, a, b, sw, sink = self.build_line(sim)

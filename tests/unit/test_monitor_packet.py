@@ -93,8 +93,8 @@ class TestPeriodicSampler:
         sampler = PeriodicSampler(sim, 1000, lambda: next(series))
         sim.run(until=2500)
         assert sampler.max_value() == 9.0
-        assert PeriodicSampler(sim, 1000, lambda: 0.0,
-                               start=False).max_value(default=-1) == -1
+        unrun = PeriodicSampler(sim, 1000, lambda: 0.0)
+        assert unrun.max_value(default=-1) == -1
 
 
 def data_packet(src, msg_id, pkt_num, n_pkts, msg_bytes, size=1500):

@@ -127,18 +127,18 @@ class TestControllerFactory:
 
 class TestCcManager:
     def test_unknown_path_until_feedback(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         assert cc.path_for(5) == (UNKNOWN_PATHLET,)
 
     def test_learns_path_from_feedback(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         feedback = [(7, 0, Feedback(FB_ECN, 0.0)),
                     (8, 0, Feedback(FB_ECN, 0.0))]
         cc.on_ack(5, "default", feedback, MSS, RTT, 0)
         assert cc.path_for(5) == (7, 8)
 
     def test_charge_uncharge(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         cc.charge((7, 8), "default", 1000)
         assert cc.inflight(7, "default") == 1000
         assert cc.inflight(8, "default") == 1000
@@ -146,15 +146,15 @@ class TestCcManager:
         assert cc.inflight(7, "default") == 0
 
     def test_can_send_respects_min_window_across_path(self):
-        cc = PathletCcManager(mss=MSS, init_window_segments=2)
+        cc = PathletCcManager()
         cc.learn_path(5, (7, 8))
         assert cc.can_send(5, "default", MSS)
-        cc.charge((7,), "default", 2 * MSS)
+        cc.charge((7,), "default", cc.window(7, "default"))
         # Pathlet 7 is full even though 8 is empty.
         assert not cc.can_send(5, "default", MSS)
 
     def test_separate_windows_per_pathlet(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         hot = [(1, 0, Feedback(FB_ECN, 1.0))]
         cold = [(2, 0, Feedback(FB_ECN, 0.0))]
         for i in range(30):
@@ -163,7 +163,7 @@ class TestCcManager:
         assert cc.window(2, "default") > cc.window(1, "default")
 
     def test_separate_windows_per_tc(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         marked = [(1, 0, Feedback(FB_ECN, 1.0))]
         clean = [(1, 0, Feedback(FB_ECN, 0.0))]
         for i in range(30):
@@ -172,7 +172,7 @@ class TestCcManager:
         assert cc.window(1, "tenant1") > cc.window(1, "tenant2")
 
     def test_congested_pathlets_reported(self):
-        cc = PathletCcManager(mss=MSS)
+        cc = PathletCcManager()
         hot = [(9, 0, Feedback(FB_ECN, 1.0))]
         for i in range(40):
             cc.on_ack(5, "default", hot, MSS, RTT, i * 2 * RTT)
@@ -180,7 +180,7 @@ class TestCcManager:
         assert cc.congested_pathlets("other") == []
 
     def test_loss_penalizes_whole_path(self):
-        cc = PathletCcManager(mss=MSS, init_window_segments=10)
+        cc = PathletCcManager()
         cc.learn_path(5, (1, 2))
         before = (cc.window(1, "default"), cc.window(2, "default"))
         cc.on_loss((1, 2), "default", 0)

@@ -23,7 +23,7 @@ class TestPacketPool:
     def test_release_and_reuse_recycles_shell(self):
         pool = PacketPool()
         first = pool.acquire(1, 2, 100, "mtp", header=object())
-        first.hops.append("sw1")
+        first.corrupted = True
         pool.release(first)
         assert pool.free_count() == 1
         assert first.header is None  # headers are never recycled
@@ -31,7 +31,7 @@ class TestPacketPool:
         assert second is first  # same shell...
         assert pool.free_count() == 0
         assert second.src == 3 and second.dst == 4 and second.size == 200
-        assert second.hops == []  # ...fully re-initialised
+        assert not second.corrupted  # ...fully re-initialised
         assert second.flow_label == (3, 4)
 
     def test_uids_fresh_and_monotonic_across_reuse(self):

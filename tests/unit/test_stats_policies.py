@@ -67,28 +67,15 @@ class TestSummarize:
 
 
 class TestFctCollector:
-    def test_filter_by_tag(self):
-        fct = FctCollector()
-        fct.record(100, 5000, tag="ecmp")
-        fct.record(100, 9000, tag="spray")
-        assert fct.completions(tag="ecmp") == [5000]
-
-    def test_filter_by_size(self):
-        fct = FctCollector()
-        fct.record(10, 1)
-        fct.record(1000, 2)
-        assert fct.completions(min_size=100) == [2]
-        assert fct.completions(max_size=100) == [1]
-
     def test_tail(self):
         fct = FctCollector()
         for value in range(1, 101):
-            fct.record(1, value)
+            fct.record(value)
         assert fct.tail(99) == pytest.approx(percentile(range(1, 101), 99))
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            FctCollector().record(1, -1)
+            FctCollector().record(-1)
 
 
 class TestTrafficClassMap:
