@@ -15,7 +15,7 @@ from ..net.node import Host
 from ..net.packet import Packet
 from ..sim.engine import Simulator
 
-__all__ = ["TransportStack", "ConnectionCallbacks"]
+__all__ = ["TransportStack", "ConnectionCallbacks", "RtoEstimator"]
 
 
 class ConnectionCallbacks:
@@ -60,3 +60,48 @@ class TransportStack:
     def send_packet(self, packet: Packet) -> bool:
         """Hand a packet to the host's network layer."""
         return self.host.send(packet)
+
+
+class RtoEstimator:
+    """RFC 6298 retransmission timeout: smoothed RTT, variance and backoff.
+
+    ``rto`` is ``max(min_ns, srtt + 4 * rttvar)``, or ``4 * min_ns``
+    before the first sample, doubled once per ``backoff`` step and capped
+    at ``max_ns``.  The transport decides when a timeout backs off
+    (``backoff += 1``) and when progress resets it (``backoff = 0``).
+    """
+
+    __slots__ = ("min_ns", "max_ns", "srtt", "rttvar", "backoff")
+
+    def __init__(self, min_ns: int, max_ns: int):
+        self.min_ns = min_ns
+        self.max_ns = max(max_ns, min_ns)
+        self.srtt: Optional[int] = None
+        self.rttvar = 0
+        self.backoff = 0
+
+    def sample(self, now: int, ts_echo: int) -> Optional[int]:
+        """Fold in the RTT of an echoed timestamp; returns it (or None)."""
+        if ts_echo < 0 or now < ts_echo:
+            return None
+        rtt = now - ts_echo
+        if self.srtt is None:
+            self.srtt = rtt
+            self.rttvar = rtt // 2
+        else:
+            self.rttvar = (3 * self.rttvar + abs(self.srtt - rtt)) // 4
+            self.srtt = (7 * self.srtt + rtt) // 8
+        return rtt
+
+    @property
+    def rto(self) -> int:
+        """The current, backed-off retransmission timeout."""
+        if self.srtt is None:
+            base = 4 * self.min_ns
+        else:
+            base = max(self.min_ns, self.srtt + 4 * self.rttvar)
+        return min(base << self.backoff, self.max_ns)
+
+    def __repr__(self) -> str:
+        return (f"<RtoEstimator srtt={self.srtt} rttvar={self.rttvar} "
+                f"backoff={self.backoff} rto={self.rto}>")

@@ -228,7 +228,7 @@ class MptcpConnection:
         for conn in self.subflows:
             if not conn.established:
                 continue
-            rtt = conn.srtt or microseconds(20)
+            rtt = conn.rtt.srtt or microseconds(20)
             best = max(best, conn.cwnd / (rtt * rtt))
             denominator += conn.cwnd / rtt
         if denominator <= 0:

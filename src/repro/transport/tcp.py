@@ -24,7 +24,7 @@ from ..net.packet import (DEFAULT_HEADER_BYTES, ECT_CAPABLE, ECT_NOT_CAPABLE,
                           Packet)
 from ..sim.engine import Timer
 from ..sim.units import microseconds
-from .base import ConnectionCallbacks, TransportStack
+from .base import ConnectionCallbacks, RtoEstimator, TransportStack
 
 __all__ = ["TcpHeader", "TcpStack", "TcpConnection",
            "FLAG_SYN", "FLAG_ACK", "FLAG_FIN"]
@@ -185,10 +185,10 @@ class TcpConnection:
         self.callbacks = callbacks
         self.variant = variant
         self.mss = mss
-        self.min_rto_ns = min_rto_ns
-        #: Cap on the exponentially backed-off RTO (RFC 6298 §2.5 allows
-        #: a cap at or above 60 s; simulations use a tighter one).
-        self.max_rto_ns = max(max_rto_ns, min_rto_ns)
+        #: RTT estimate and backed-off RTO.  The cap is ``max_rto_ns``
+        #: (RFC 6298 §2.5 allows one at or above 60 s; simulations use a
+        #: tighter one).
+        self.rtt = RtoEstimator(min_rto_ns, max_rto_ns)
         #: Consecutive data RTOs with no forward progress before the
         #: connection aborts and surfaces ``on_error`` to the app.
         self.max_retries = max_retries
@@ -228,9 +228,6 @@ class TcpConnection:
         self._dupacks = 0
         self._recover = 0
         self._in_recovery = False
-        self.srtt: Optional[int] = None
-        self.rttvar = 0
-        self.rto = 4 * min_rto_ns
         self._rto_timer = Timer(self.sim, self._on_rto)
         self._syn_retries = 0
         self._consecutive_timeouts = 0
@@ -288,7 +285,7 @@ class TcpConnection:
         self.state = "syn_sent"
         self.snd_nxt = 1  # SYN consumes sequence 0
         self._send_control(FLAG_SYN, seq=0)
-        self._rto_timer.restart(self.rto)
+        self._rto_timer.restart(self.rtt.rto)
 
     def send(self, nbytes: int) -> None:
         """Queue ``nbytes`` of application data on the stream."""
@@ -448,7 +445,7 @@ class TcpConnection:
             self._pipe += 1
             self.snd_nxt += 1  # FIN consumes one sequence number
             if not self._rto_timer.running:
-                self._rto_timer.restart(self.rto)
+                self._rto_timer.restart(self.rtt.rto)
 
     def _send_data_segment(self, seq: int, size: int) -> None:
         header = self._make_header(FLAG_ACK, seq, payload_len=size)
@@ -458,7 +455,7 @@ class TcpConnection:
         self._seg_order.append(seq)
         self._pipe += size
         if not self._rto_timer.running:
-            self._rto_timer.restart(self.rto)
+            self._rto_timer.restart(self.rtt.rto)
 
     def _retransmit_segment(self, seq: int, entry: List) -> None:
         size = entry[0]
@@ -475,7 +472,7 @@ class TcpConnection:
         self._pipe += size
         self.retransmissions += 1
         if not self._rto_timer.running:
-            self._rto_timer.restart(self.rto)
+            self._rto_timer.restart(self.rtt.rto)
 
     def _mark_lost(self, seq: int) -> bool:
         """Flag a segment lost, freeing its pipe share; returns True if new."""
@@ -517,7 +514,8 @@ class TcpConnection:
         # passed since the retransmission, or the inference would re-mark
         # them on every SACK and churn forever.
         threshold = self._highest_sacked - 3 * self.mss
-        retx_grace = self.srtt if self.srtt is not None else self.min_rto_ns
+        srtt = self.rtt.srtt
+        retx_grace = srtt if srtt is not None else self.rtt.min_ns
         newly_lost = False
         for seq in order:
             entry = segments[seq]
@@ -580,7 +578,7 @@ class TcpConnection:
                 syn_ack = self._make_header(FLAG_SYN | FLAG_ACK, seq=0,
                                             ts_echo=header.ts)
                 self._transmit(syn_ack, 0)
-                self._rto_timer.restart(self.rto)
+                self._rto_timer.restart(self.rtt.rto)
             else:
                 # Duplicate SYN: re-send the SYN-ACK.
                 syn_ack = self._make_header(FLAG_SYN | FLAG_ACK, seq=0,
@@ -668,9 +666,8 @@ class TcpConnection:
                 self._grow_cwnd(newly_acked)
             if self.snd_una == self.snd_nxt:
                 self._rto_timer.stop()
-                self.rto = max(self.min_rto_ns, self.rto)
             else:
-                self._rto_timer.restart(self.rto)
+                self._rto_timer.restart(self.rtt.rto)
             self._try_send()
             if self.on_send_progress is not None:
                 self.on_send_progress(newly_acked)
@@ -720,7 +717,7 @@ class TcpConnection:
         """Mark the head segment lost and repair it (partial-ACK path)."""
         if self._mark_lost(self.snd_una):
             self._try_send()
-        self._rto_timer.restart(self.rto)
+        self._rto_timer.restart(self.rtt.rto)
 
     def _on_rto(self) -> None:
         if self.closed:
@@ -732,8 +729,8 @@ class TcpConnection:
                 self._abort("syn_retries_exceeded")
                 return
             self._send_control(FLAG_SYN, seq=0)
-            self.rto = min(self.rto * 2, self.max_rto_ns)
-            self._rto_timer.restart(self.rto)
+            self.rtt.backoff += 1
+            self._rto_timer.restart(self.rtt.rto)
             return
         if self.state == "syn_received":
             self._syn_retries += 1
@@ -742,8 +739,8 @@ class TcpConnection:
                 return
             syn_ack = self._make_header(FLAG_SYN | FLAG_ACK, seq=0)
             self._transmit(syn_ack, 0)
-            self.rto = min(self.rto * 2, self.max_rto_ns)
-            self._rto_timer.restart(self.rto)
+            self.rtt.backoff += 1
+            self._rto_timer.restart(self.rtt.rto)
             return
         if self.outstanding == 0:
             return
@@ -761,24 +758,15 @@ class TcpConnection:
         self.cwnd = self.mss
         self._in_recovery = False
         self._dupacks = 0
-        self.rto = min(self.rto * 2, self.max_rto_ns)
-        self._rto_timer.restart(self.rto)
+        self.rtt.backoff += 1
+        self._rto_timer.restart(self.rtt.rto)
         self._try_send()
 
     def _sample_rtt(self, ts_echo: int) -> Optional[int]:
-        if ts_echo < 0:
+        sample = self.rtt.sample(self.sim.now, ts_echo)
+        if sample is None:
             return None
-        sample = self.sim.now - ts_echo
-        if sample < 0:
-            return None
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample // 2
-        else:
-            delta = abs(self.srtt - sample)
-            self.rttvar = (3 * self.rttvar + delta) // 4
-            self.srtt = (7 * self.srtt + sample) // 8
-        self.rto = max(self.min_rto_ns, self.srtt + 4 * self.rttvar)
+        self.rtt.backoff = 0  # a fresh sample recomputes the RTO
         if self._min_rtt is None or sample < self._min_rtt:
             self._min_rtt = sample
         return sample
@@ -827,7 +815,8 @@ class TcpConnection:
             else:
                 self.cwnd += max(1, self.mss * self.mss // int(self.cwnd))
         elif self.sim.now > self._swift_md_until:
-            self._swift_md_until = self.sim.now + (self.srtt or rtt_sample)
+            self._swift_md_until = (self.sim.now
+                                    + (self.rtt.srtt or rtt_sample))
             over = (delay - self.swift_target_delay_ns) / max(delay, 1)
             factor = max(1 - SWIFT_BETA * over, SWIFT_MAX_DECREASE)
             self.cwnd = max(self.mss, int(self.cwnd * factor))

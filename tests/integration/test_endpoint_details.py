@@ -37,9 +37,9 @@ class TestRetransmissionTimer:
         sender = MtpStack(a).endpoint()
         sender.send_message(b.address, 100, 50_000)
         sim.run(until=milliseconds(10))
-        assert sender.srtt is not None
-        assert sender.rto_ns >= MIN_RTO_NS
-        assert sender.rto_ns >= sender.srtt
+        assert sender.rtt.srtt is not None
+        assert sender.rtt.rto >= MIN_RTO_NS
+        assert sender.rtt.rto >= sender.rtt.srtt
 
     def test_timer_idle_when_nothing_outstanding(self, sim):
         net, a, b, sw = switched_pair(sim)

@@ -135,8 +135,8 @@ class TestReliability:
         sender = stack_a.endpoint()
         sender.send_message(b.address, 100, 100_000)
         sim.run(until=milliseconds(100))
-        assert sender.srtt is not None
-        assert sender.srtt >= 2 * microseconds(25)
+        assert sender.rtt.srtt is not None
+        assert sender.rtt.srtt >= 2 * microseconds(25)
 
 
 class TestPathletCc:

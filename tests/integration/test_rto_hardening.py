@@ -96,7 +96,7 @@ class TestTcpRtoHardening:
         sim.at(microseconds(50), link.set_down)
         sim.run(until=milliseconds(60))
         assert conn.timeouts >= 10
-        assert conn.rto <= cap
+        assert conn.rtt.rto <= cap
 
     def test_syn_retries_exhaust_cleanly(self, sim):
         net, a, b, link = linked_pair(sim)
@@ -159,14 +159,14 @@ class TestMtpRtoHardening:
         endpoint.send_message(b.address, 100, 100_000)
         observed = []
         sim.at(microseconds(50), link.set_down)
-        # Sample the backoff exponent just before the repair.
+        # Sample the backoff step just before the repair.
         sim.at(milliseconds(5) - 1,
-               lambda: observed.append(endpoint._backoff_exp))
+               lambda: observed.append(endpoint.rtt.backoff))
         sim.at(milliseconds(5), link.set_up)
         sim.run(until=milliseconds(100))
         assert len(inbox) == 1
         assert observed and observed[0] > 0  # the outage backed off
-        assert endpoint._backoff_exp == 0    # ACK progress reset it
+        assert endpoint.rtt.backoff == 0    # ACK progress reset it
         assert endpoint.retransmissions > 0
 
     def test_rto_capped_during_outage(self, sim):
@@ -178,8 +178,8 @@ class TestMtpRtoHardening:
         endpoint.send_message(b.address, 100, 200_000)
         sim.at(microseconds(10), link.set_down)
         sim.run(until=milliseconds(50))
-        assert endpoint._backoff_exp > 0
-        assert endpoint.rto_ns <= cap
+        assert endpoint.rtt.backoff > 0
+        assert endpoint.rtt.rto <= cap
 
     def test_deadline_abort_reports_deadline(self, sim):
         net, a, b, link = linked_pair(sim)

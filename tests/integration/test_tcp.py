@@ -204,6 +204,6 @@ class TestRttEstimation:
         sender = stack_a.connect(b.address, 80,
                                  app.sender_callbacks(200_000))
         sim.run(until=milliseconds(50))
-        assert sender.srtt is not None
-        assert sender.srtt >= 2 * delay
-        assert sender.srtt < 10 * 2 * delay
+        assert sender.rtt.srtt is not None
+        assert sender.rtt.srtt >= 2 * delay
+        assert sender.rtt.srtt < 10 * 2 * delay

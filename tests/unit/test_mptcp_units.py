@@ -26,14 +26,14 @@ class TestLiaAlpha:
         meta = meta_pair(sim, n_subflows=2)
         for subflow in meta.subflows:
             subflow.cwnd = 100 * 1460
-            subflow.srtt = microseconds(100)
+            subflow.rtt.srtt = microseconds(100)
         total = sum(subflow.cwnd for subflow in meta.subflows)
         assert meta._lia_alpha(total) == pytest.approx(0.5, rel=0.01)
 
     def test_single_subflow_alpha_one(self, sim):
         meta = meta_pair(sim, n_subflows=1)
         meta.subflows[0].cwnd = 50 * 1460
-        meta.subflows[0].srtt = microseconds(50)
+        meta.subflows[0].rtt.srtt = microseconds(50)
         assert meta._lia_alpha(meta.subflows[0].cwnd) == pytest.approx(1.0)
 
     def test_coupled_increase_bounded_by_uncoupled(self, sim):
@@ -41,7 +41,7 @@ class TestLiaAlpha:
         subflow = meta.subflows[0]
         for conn in meta.subflows:
             conn.cwnd = 20 * 1460
-            conn.srtt = microseconds(100)
+            conn.rtt.srtt = microseconds(100)
             conn.ssthresh = conn.cwnd  # force CA
         before = subflow.cwnd
         meta._lia_growth(subflow, 1460)

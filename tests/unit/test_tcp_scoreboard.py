@@ -113,7 +113,8 @@ def full_scan_process_sack_blocks(conn, blocks):
                     entry[3] = False
                 break
     threshold = conn._highest_sacked - 3 * conn.mss
-    retx_grace = conn.srtt if conn.srtt is not None else conn.min_rto_ns
+    srtt = conn.rtt.srtt
+    retx_grace = srtt if srtt is not None else conn.rtt.min_ns
     newly_lost = [seq for seq, entry in conn._segments.items()
                   if not entry[3] and not entry[4]
                   and seq + entry[0] <= threshold
@@ -190,7 +191,7 @@ def loaded_connection(segments, state):
                          80, ConnectionCallbacks())
     sim.run(until=NOW)
     for name, value in state.items():
-        setattr(conn, name, value)
+        setattr(conn.rtt if name == "srtt" else conn, name, value)
     conn._segments = {seq: list(entry) for seq, entry in segments.items()}
     conn._seg_order = sorted(segments)
     conn._lost = deque(seq for seq, entry in segments.items() if entry[3])
