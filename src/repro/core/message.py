@@ -100,10 +100,11 @@ class SendState:
         self.fail_reason: Optional[str] = None
         self.next_to_send = 0
         self.acked: Set[int] = set()
-        #: pkt_num -> (send_time, retransmitted) for unacked in-flight packets.
-        self.inflight: Dict[int, Tuple[int, bool]] = {}
-        #: pkt_num -> assumed path (tuple of pathlet ids) charged at send time.
-        self.charged_path: Dict[int, Tuple[int, ...]] = {}
+        #: pkt_num -> (send_time, retransmitted, charged_path) for each
+        #: packet in flight; ``charged_path`` is the assumed path (pathlet
+        #: ids) its bytes were charged to.  Releasing a charge pops the
+        #: record, so no charge is released twice.
+        self.inflight: Dict[int, Tuple[int, bool, Tuple[int, ...]]] = {}
         #: pkt_num -> RTO retransmissions queued so far for that packet.
         self.retry_count: Dict[int, int] = {}
         self.retransmissions = 0
@@ -117,16 +118,11 @@ class SendState:
         """Packets never transmitted so far."""
         return self.message.n_packets - self.next_to_send
 
-    def pending_packets(self) -> List[int]:
-        """Packets sent but not yet acknowledged, oldest first."""
-        return sorted(self.inflight)
-
     def mark_acked(self, pkt_num: int) -> bool:
         """Record an acknowledgement; returns True if it was new."""
         if pkt_num in self.acked:
             return False
         self.acked.add(pkt_num)
-        self.inflight.pop(pkt_num, None)
         return True
 
     def __repr__(self) -> str:

@@ -63,12 +63,6 @@ class TestSendState:
         assert state.mark_acked(0)
         assert not state.mark_acked(0)
 
-    def test_pending_packets_sorted(self):
-        state = SendState(Message(300, max_payload=100), 1, 2)
-        state.inflight[2] = (0, False)
-        state.inflight[0] = (0, False)
-        assert state.pending_packets() == [0, 2]
-
     def test_unsent_counter(self):
         state = SendState(Message(300, max_payload=100), 1, 2)
         assert state.unsent_packets() == 3
