@@ -206,7 +206,7 @@ PINNED_TRACES = {
         14769, "436d464e519790f59e80c64b536d8cfa"),
     "fig8-chaos-mtp-600us": (
         lambda sim: run_fig8("mtp", _chaos_config(), sim=sim),
-        5922, "2d85c472851e8eefe7bda8d4c369e59c"),
+        19754, "327e86ac38dc99ca144081483a35c51e"),
 }
 
 

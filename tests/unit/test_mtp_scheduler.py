@@ -3,7 +3,8 @@
 Two checks:
 
 * pinned digests of every MTP data send in the Figure 5, 6 and 7 MTP
-  systems, taken with the original lazy-pop scheduler;
+  systems, taken with the original lazy-pop scheduler (Figure 5's
+  re-taken when MTP's timeout became go-back-N);
 * a differential test against :class:`LazyPopScheduler`, a model of that
   original scheduler, on random enqueue / abort / window-open sequences.
 """
@@ -31,8 +32,8 @@ PINNED = {
     "fig5_mtp": (
         lambda sim: run_fig5("mtp", Fig5Config(duration_ns=milliseconds(1)),
                              sim=sim),
-        3627, 40158,
-        "5a99900a9af6617f463cb14e87cc83106035dcead8bb30462f34d3489ff070af"),
+        6117, 64205,
+        "bf014c3275dc37e2fa2ed5bab0ae8b552667adaed40fae8b31fa362f83a3cefb"),
     "fig6_mtp_lb": (
         lambda sim: run_fig6("mtp_lb", Fig6Config(
             duration_ns=milliseconds(1.5)), sim=sim),
