@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import DropTailQueue, Network, RandomDropProcessor
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
-from repro.transport import ConnectionCallbacks, QuicStack
+from repro.transport import ConnectionCallbacks, QuicConnection, QuicStack
 
 
 def quic_pair(sim, rate=gbps(1), delay=microseconds(5), queue_capacity=256):
@@ -157,6 +157,37 @@ class TestLossRecovery:
             on_connected=lambda c: established.append(c)))
         sim.run(until=milliseconds(50))
         assert established
+
+
+    def test_loss_timer_backs_off_during_outage(self, sim, monkeypatch):
+        net = Network(sim)
+        a = net.add_host("a")
+        b = net.add_host("b")
+        link = net.connect(a, b, gbps(1), microseconds(5))
+        net.install_routes()
+        fires = []
+        on_timeout = QuicConnection._on_loss_timeout
+
+        def counted(conn):
+            if conn.is_client:
+                fires.append(sim.now)
+            on_timeout(conn)
+
+        monkeypatch.setattr(QuicConnection, "_on_loss_timeout", counted)
+        received = [0]
+        stack_a, stack_b = QuicStack(a), QuicStack(b)
+        stack_b.listen(443, lambda conn: ConnectionCallbacks(
+            on_data=lambda c, n: received.__setitem__(0, received[0] + n)))
+        conn = stack_a.connect(b.address, 443, ConnectionCallbacks(
+            on_connected=lambda c: c.send_message(1_000_000)))
+        sim.at(milliseconds(1), link.set_down)
+        sim.at(milliseconds(51), link.set_up)
+        sim.run(until=milliseconds(51))
+        assert conn.rtt.backoff > 0
+        assert 0 < len(fires) <= 10
+        sim.run(until=milliseconds(200))
+        assert received[0] == 1_000_000
+        assert conn.rtt.backoff == 0  # acknowledged progress reset it
 
 
 class TestSingleCongestionContext:
