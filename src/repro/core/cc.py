@@ -246,7 +246,7 @@ class PathletCcManager:
         self._controllers: Dict[CcKey, CongestionController] = {}
         self._inflight: Dict[CcKey, int] = {}
         self._active_path: Dict[int, Tuple[int, ...]] = {}
-        #: (pathlet, tc) -> consecutive RTO losses with no intervening ACK.
+        #: (pathlet, tc) -> consecutive timeouts with no intervening ACK.
         self._consec_losses: Dict[CcKey, int] = {}
 
     # -- path knowledge -------------------------------------------------
@@ -342,7 +342,7 @@ class PathletCcManager:
             self._consec_losses.pop((UNKNOWN_PATHLET, tc), None)
 
     def on_loss(self, path: Tuple[int, ...], tc: str, now: int) -> None:
-        """Penalize every pathlet the lost packet was charged to.
+        """Penalize every pathlet of ``path`` for one timeout.
 
         Crossing the consecutive-loss threshold declares the pathlet
         failed: any destination whose assumed path runs through it is
