@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..sim.units import SECOND, microseconds
-from .feedback import FB_DELAY, FB_ECN, FB_QUEUE, FB_RATE, FB_TRIM, Feedback
+from .feedback import FB_DELAY, FB_ECN, FB_RATE, FB_TRIM, Feedback
 from .message import MTP_MAX_PAYLOAD
 from .pathlets import UNKNOWN_PATHLET
 
@@ -307,14 +307,27 @@ class PathletCcManager:
             self._inflight[key] = self._inflight.get(key, 0) + nbytes
 
     def uncharge(self, path: Tuple[int, ...], tc: str, nbytes: int) -> None:
-        """Release a previous charge (on acknowledgement or loss)."""
-        for pathlet_id in path:
+        """Release a previous charge (on acknowledgement or loss).
+
+        Raises :class:`ValueError`, leaving every balance as it was, when
+        ``nbytes`` exceeds what a pathlet of ``path`` has charged for
+        ``tc``: a release with no matching charge is a bookkeeping bug.
+        """
+        inflight = self._inflight
+        for index, pathlet_id in enumerate(path):
             key = (pathlet_id, tc)
-            remaining = self._inflight.get(key, 0) - nbytes
-            if remaining > 0:
-                self._inflight[key] = remaining
+            remaining = inflight.get(key, 0) - nbytes
+            if remaining < 0:
+                # Checked as it goes, so an ACK costs one pass; the rare
+                # failure puts back what this call already released.
+                self.charge(path[:index], tc, nbytes)
+                raise ValueError(
+                    f"releasing {nbytes} B from pathlet {pathlet_id} "
+                    f"tc {tc!r}, which has {remaining + nbytes} B charged")
+            if remaining:
+                inflight[key] = remaining
             else:
-                self._inflight.pop(key, None)
+                inflight.pop(key, None)
 
     # -- feedback -------------------------------------------------------
 

@@ -13,10 +13,11 @@ decisions").
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional
 
-from ..core import BlobReceiver, BlobSender, MtpStack
-from ..net import RateMonitor
+from ..core import BlobSender, MtpStack
+from ..net import PeriodicSampler, RateMonitor
 from ..sim import Simulator, microseconds, milliseconds
 from .common import INCAST_RATE_BPS, build_incast_star
 from .fig5_multipath import Fig5Config, Fig5Result, run_fig5
@@ -30,21 +31,12 @@ def ablate_pathlet_granularity(config: Optional[Fig5Config] = None,
                                ) -> Dict[str, Fig5Result]:
     """Figure-5 scenario: per-link pathlets vs a single global pathlet."""
     base = config or Fig5Config()
-    modes = ("per_link", "single")
-    configs = [Fig5Config(
-        fast_rate_bps=base.fast_rate_bps,
-        slow_rate_bps=base.slow_rate_bps,
-        flip_period_ns=base.flip_period_ns,
-        link_delay_ns=base.link_delay_ns,
-        buffer_packets=base.buffer_packets,
-        ecn_threshold=base.ecn_threshold,
-        sample_interval_ns=base.sample_interval_ns,
-        duration_ns=base.duration_ns,
-        warmup_ns=base.warmup_ns,
-        pathlet_mode=mode,
-        tcp_min_rto_ns=base.tcp_min_rto_ns) for mode in modes]
-    return {mode: run_fig5("mtp", config)
-            for mode, config in zip(modes, configs)}
+    results = {}
+    for mode in ("per_link", "single"):
+        variant = copy.copy(base)
+        variant.pathlet_mode = mode
+        results[mode] = run_fig5("mtp", variant)
+    return results
 
 
 FEEDBACK_SOURCES = ("ecn", "rate", "delay")
@@ -61,21 +53,15 @@ def _feedback_point(kind: str, duration_ns: int) -> Dict:
     sink_stack.endpoint(
         port=100,
         on_message=lambda ep, msg: monitor.record_bytes(msg.size))
-    peak_queue = [0]
     for host in senders:
         endpoint = MtpStack(host).endpoint()
         BlobSender(endpoint, sink.address, 100, total_bytes=1 << 40,
                    window_messages=64)
-
-    def sample_queue():
-        peak_queue[0] = max(peak_queue[0], len(port.queue))
-        sim.schedule(microseconds(10), sample_queue)
-
-    sample_queue()
+    queue = PeriodicSampler(sim, microseconds(10), lambda: len(port.queue))
     sim.run(until=duration_ns)
     return {
         "goodput_bps": monitor.mean_bps(microseconds(500), duration_ns),
-        "peak_queue_pkts": peak_queue[0],
+        "peak_queue_pkts": queue.max_value(),
         "capacity_bps": INCAST_RATE_BPS,
     }
 
@@ -97,20 +83,9 @@ def ablate_message_atomicity(config: Optional[Fig6Config] = None,
                              ) -> Dict[str, Fig6Result]:
     """Figure-6 MTP balancer with message atomicity on vs off."""
     base = config or Fig6Config()
-    labels = ("atomic", "sprayed")
-    configs = [Fig6Config(
-        path_rate_bps=base.path_rate_bps,
-        extra_delay_ns=base.extra_delay_ns,
-        base_delay_ns=base.base_delay_ns,
-        min_message_bytes=base.min_message_bytes,
-        max_message_bytes=base.max_message_bytes,
-        offered_load=base.offered_load,
-        duration_ns=base.duration_ns,
-        buffer_packets=base.buffer_packets,
-        ecn_threshold=base.ecn_threshold,
-        seed=base.seed,
-        tcp_min_rto_ns=base.tcp_min_rto_ns,
-        mtp_intra_message_spray=spray)
-        for spray in (False, True)]
-    return {label: run_fig6("mtp_lb", config)
-            for label, config in zip(labels, configs)}
+    results = {}
+    for label, spray in (("atomic", False), ("sprayed", True)):
+        variant = copy.copy(base)
+        variant.mtp_intra_message_spray = spray
+        results[label] = run_fig6("mtp_lb", variant)
+    return results

@@ -8,18 +8,22 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from ..core import BlobSender, MtpStack
 from ..core.pathlets import (DelayFeedbackSource, EcnFeedbackSource,
-                             PathletRegistry, RateFeedbackSource)
+                             FeedbackSource, PathletRegistry,
+                             RateFeedbackSource)
 from ..net.link import Port
 from ..net.node import Host, Switch
 from ..net.queues import DropTailQueue
 from ..net.topology import Network
 from ..sim.engine import Simulator
-from ..sim.units import gbps, microseconds
+from ..sim.units import gbps, microseconds, milliseconds
+from ..transport import ConnectionCallbacks, MptcpStack, TcpStack
 
-__all__ = ["attach_exclusion_lookup", "build_incast_star", "format_table",
-           "claim", "series_stats", "sweep_map", "ID_STREAMS",
-           "reset_id_streams", "INCAST_RATE_BPS"]
+__all__ = ["attach_exclusion_lookup", "build_incast_star", "feedback_source",
+           "start_long_flows", "format_table", "claim", "series_stats",
+           "sweep_map", "ID_STREAMS", "reset_id_streams", "INCAST_RATE_BPS",
+           "TCP_MIN_RTO_NS"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -81,16 +85,71 @@ def build_incast_star(sim: Simulator, n_senders: int, feedback_kind: str,
         net.connect(host, sw, INCAST_RATE_BPS, microseconds(1))
         senders.append(host)
     net.install_routes()
-    registry = PathletRegistry(sim)
     port = bottleneck.port_a
-    if feedback_kind == "ecn":
-        source = EcnFeedbackSource(20)
-    elif feedback_kind == "rate":
-        source = RateFeedbackSource(sim, port, avg_rtt_ns=microseconds(15))
-    else:
-        source = DelayFeedbackSource()
-    registry.register(port, source)
+    PathletRegistry(sim).register(port, feedback_source(
+        feedback_kind, sim, port, 20, microseconds(15)))
     return sink, senders, port
+
+
+def feedback_source(kind: str, sim: Simulator, port: Port,
+                    ecn_threshold: int, avg_rtt_ns: int) -> FeedbackSource:
+    """The feedback a pathlet at ``port`` speaks, by ``kind``.
+
+    "ecn" marks above ``ecn_threshold`` packets (DCTCP-like), "rate" is
+    RCP's explicit rate for an ``avg_rtt_ns`` average RTT, and any other
+    kind is "delay" (Swift-like).
+    """
+    if kind == "ecn":
+        return EcnFeedbackSource(ecn_threshold)
+    if kind == "rate":
+        return RateFeedbackSource(sim, port, avg_rtt_ns=avg_rtt_ns)
+    return DelayFeedbackSource()
+
+
+#: Minimum TCP retransmission timeout of every experiment's TCP flows.
+#: Real stacks use 1 ms - 200 ms; the Figure-5 DCTCP baseline's goodput
+#: is sensitive to it (see EXPERIMENTS.md).
+TCP_MIN_RTO_NS = milliseconds(1)
+
+
+def start_long_flows(protocol: str, sender: Host, receiver: Host,
+                     on_bytes: Callable[[int], None], streams: int,
+                     window_messages: int, tenant: Optional[str],
+                     ) -> list:
+    """Start ``streams`` long-lasting flows from ``sender`` to ``receiver``.
+
+    ``protocol`` is "mtp" (each stream a never-ending blob of up to
+    ``window_messages`` outstanding messages), "dctcp" or "mptcp" (one
+    DCTCP connection, or two-subflow meta-connection, per stream).
+    ``on_bytes(nbytes)`` sees every delivery at the receiver.  ``tenant``
+    is the MTP traffic class or the TCP entity; None leaves the default.
+    Returns the senders, whose ``retransmissions`` count: a list of the
+    one MTP endpoint, or of the TCP/MPTCP connections.
+    """
+    if protocol == "mtp":
+        sender_stack = MtpStack(sender)
+        MtpStack(receiver).endpoint(
+            port=100, on_message=lambda endpoint, message:
+                on_bytes(message.size))
+        endpoint = sender_stack.endpoint(tc=tenant or "default")
+        for _ in range(streams):
+            BlobSender(endpoint, receiver.address, 100,
+                       total_bytes=1 << 40, window_messages=window_messages)
+        return [endpoint]
+    if protocol not in ("dctcp", "mptcp"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    stack_type = TcpStack if protocol == "dctcp" else MptcpStack
+    sender_stack = stack_type(sender)
+    receiver_stack = stack_type(receiver)
+    options = dict(variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS,
+                   entity=tenant or "")
+    receiver_stack.listen(
+        80, lambda connection: ConnectionCallbacks(
+            on_data=lambda c, nbytes: on_bytes(nbytes)), **options)
+    return [sender_stack.connect(
+        receiver.address, 80,
+        ConnectionCallbacks(on_connected=lambda c: c.send(1 << 40)),
+        **options) for _ in range(streams)]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from ..apps import TcpMessageFraming
 from ..core import (FB_ECN, KIND_DATA, EcnFeedbackSource, Feedback,
                     MtpHeader, MtpStack, PathletRegistry)
-from ..net import DropTailQueue, Network
+from ..net import DropTailQueue, Network, PeriodicSampler
 from ..offloads import TrimmingQueue
 from ..sim import Simulator, gbps, mbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
@@ -83,13 +83,8 @@ def _fresh_senders(feedback_kind: str) -> Tuple[List[int], int]:
         sim, WAVES * SENDERS_PER_WAVE, feedback_kind)
     MtpStack(sink).endpoint(port=100)
     completions: List[int] = []
-    peak_queue = [0]
-
-    def sample():
-        peak_queue[0] = max(peak_queue[0], len(bottleneck.queue))
-        sim.schedule(microseconds(2), sample)
-
-    sample()
+    queue = PeriodicSampler(sim, microseconds(2),
+                            lambda: len(bottleneck.queue))
     for index, host in enumerate(senders):
         endpoint = MtpStack(host).endpoint()
 
@@ -102,7 +97,7 @@ def _fresh_senders(feedback_kind: str) -> Tuple[List[int], int]:
 
         sim.schedule((index // SENDERS_PER_WAVE) * WAVE_GAP_NS, launch)
     sim.run(until=milliseconds(30))
-    return completions, peak_queue[0]
+    return completions, queue.max_value()
 
 
 def compare_fresh_senders() -> Dict[str, Tuple[List[int], int]]:

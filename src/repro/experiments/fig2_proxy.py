@@ -15,13 +15,14 @@ goodput, the two axes of the paper's figure.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Tuple
 
 from ..net import PeriodicSampler, build_proxy_chain
 from ..offloads.proxy import TcpProxy
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import TCP_MIN_RTO_NS
 
 __all__ = ["Fig2Config", "Fig2Result", "run_fig2", "compare_fig2"]
 
@@ -35,8 +36,7 @@ class Fig2Config:
                  transfer_bytes: int = 256 * 1024 * 1024,
                  duration_ns: int = milliseconds(6),
                  sample_interval_ns: int = microseconds(50),
-                 buffer_limit: Optional[int] = None,
-                 tcp_min_rto_ns: int = milliseconds(1)):
+                 buffer_limit: Optional[int] = None):
         self.client_rate_bps = client_rate_bps
         self.server_rate_bps = server_rate_bps
         self.link_delay_ns = link_delay_ns
@@ -45,7 +45,6 @@ class Fig2Config:
         self.sample_interval_ns = sample_interval_ns
         #: None = unlimited receive window; bytes = bounded proxy buffer.
         self.buffer_limit = buffer_limit
-        self.tcp_min_rto_ns = tcp_min_rto_ns
 
 
 class Fig2Result:
@@ -103,12 +102,12 @@ def run_fig2(config: Optional[Fig2Config] = None,
         80, lambda conn: ConnectionCallbacks(
             on_data=lambda c, nbytes: received.__setitem__(
                 0, received[0] + nbytes)),
-        min_rto_ns=config.tcp_min_rto_ns)
+        min_rto_ns=TCP_MIN_RTO_NS)
     client_conn = client_stack.connect(
         proxy.address, proxy.listen_port,
         ConnectionCallbacks(
             on_connected=lambda conn: conn.send(config.transfer_bytes)),
-        min_rto_ns=config.tcp_min_rto_ns)
+        min_rto_ns=TCP_MIN_RTO_NS)
     sampler = PeriodicSampler(sim, config.sample_interval_ns,
                               proxy.total_buffered_bytes)
     sim.run(until=config.duration_ns)
@@ -123,14 +122,7 @@ def compare_fig2(config: Optional[Fig2Config] = None,
     """Run both modes on the same configuration; returns a dict by mode."""
     base = config or Fig2Config()
     unlimited = run_fig2(base)
-    limited_config = Fig2Config(
-        client_rate_bps=base.client_rate_bps,
-        server_rate_bps=base.server_rate_bps,
-        link_delay_ns=base.link_delay_ns,
-        transfer_bytes=base.transfer_bytes,
-        duration_ns=base.duration_ns,
-        sample_interval_ns=base.sample_interval_ns,
-        buffer_limit=limited_buffer_bytes,
-        tcp_min_rto_ns=base.tcp_min_rto_ns)
+    limited_config = copy.copy(base)
+    limited_config.buffer_limit = limited_buffer_bytes
     limited = run_fig2(limited_config)
     return {"unlimited": unlimited, "limited": limited}

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..net import DropTailQueue, RateMonitor, build_dumbbell
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import TCP_MIN_RTO_NS, series_stats
 
 __all__ = ["Fig3Config", "Fig3Result", "run_fig3", "compare_fig3"]
 
@@ -33,8 +33,6 @@ MESSAGE_BYTES = 16 * 1024
 #: Throughput bin width, and the start-up span left out of the statistics.
 SAMPLE_INTERVAL_NS = microseconds(32)
 WARMUP_NS = microseconds(200)
-#: Minimum TCP retransmission timeout.
-TCP_MIN_RTO_NS = milliseconds(1)
 
 
 class Fig3Config:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core import (BlobReceiver, BlobSender, DelayFeedbackSource,
-                    EcnFeedbackSource, MtpStack, PathletRegistry,
-                    RateFeedbackSource)
-from ..net import (AlternatingSelector, DropTailQueue, Network, RateMonitor)
+from ..core import PathletRegistry
+from ..net import AlternatingSelector, DropTailQueue, RateMonitor, \
+    build_two_path
 from ..sim import Simulator, gbps, microseconds, milliseconds
-from ..transport import ConnectionCallbacks, TcpStack
-from .common import series_stats
+from .common import feedback_source, series_stats, start_long_flows
 
 __all__ = ["Fig5Config", "Fig5Result", "run_fig5", "compare_fig5"]
 
@@ -41,7 +39,6 @@ class Fig5Config:
                  duration_ns: int = milliseconds(8),
                  warmup_ns: int = microseconds(500),
                  pathlet_mode: str = "per_link",
-                 tcp_min_rto_ns: int = milliseconds(1),
                  mtp_feedback: str = "ecn"):
         if pathlet_mode not in ("per_link", "single"):
             raise ValueError("pathlet_mode must be 'per_link' or 'single'")
@@ -59,9 +56,6 @@ class Fig5Config:
         #: "single" collapses both links into one pathlet id — the ablation
         #: that makes MTP behave like per-flow TCP (Section 4).
         self.pathlet_mode = pathlet_mode
-        #: TCP minimum RTO.  Real stacks use 1 ms - 200 ms; the DCTCP
-        #: baseline's goodput here is sensitive to it (see EXPERIMENTS.md).
-        self.tcp_min_rto_ns = tcp_min_rto_ns
         #: Feedback dialect the pathlets speak to MTP: "ecn" (DCTCP-like),
         #: "delay" (Swift-like), or "rate" (RCP-like) — Section 4's point
         #: that MTP can implement any of these algorithms.
@@ -95,34 +89,6 @@ class Fig5Result:
                 f"mean={self.mean_goodput_bps / 1e9:.2f}Gbps>")
 
 
-def _build(sim: Simulator, config: Fig5Config):
-    net = Network(sim)
-    sender = net.add_host("sender")
-    receiver = net.add_host("receiver")
-    sw1 = net.add_switch(
-        "sw1", selector=AlternatingSelector(config.flip_period_ns))
-    sw2 = net.add_switch("sw2")
-    queue = lambda: DropTailQueue(config.buffer_packets,
-                                  config.ecn_threshold)
-    net.connect(sender, sw1, config.fast_rate_bps, config.link_delay_ns)
-    fast = net.connect(sw1, sw2, config.fast_rate_bps, config.link_delay_ns,
-                       queue_factory=queue)
-    slow = net.connect(sw1, sw2, config.slow_rate_bps, config.link_delay_ns,
-                       queue_factory=queue)
-    net.connect(sw2, receiver, config.fast_rate_bps, config.link_delay_ns)
-    net.install_routes()
-    return net, sender, receiver, fast, slow
-
-
-def _feedback_source_factory(sim: Simulator, config: Fig5Config):
-    if config.mtp_feedback == "delay":
-        return lambda port: DelayFeedbackSource()
-    if config.mtp_feedback == "rate":
-        return lambda port: RateFeedbackSource(
-            sim, port, avg_rtt_ns=4 * config.link_delay_ns + 4000)
-    return lambda port: EcnFeedbackSource(config.ecn_threshold)
-
-
 def run_fig5(protocol: str, config: Optional[Fig5Config] = None,
              sim: Optional[Simulator] = None) -> Fig5Result:
     """Run the scenario with ``protocol`` in {"dctcp", "mtp", "mptcp"}.
@@ -136,58 +102,28 @@ def run_fig5(protocol: str, config: Optional[Fig5Config] = None,
         raise ValueError(f"unknown protocol {protocol!r}")
     config = config or Fig5Config()
     sim = sim or Simulator()
-    net, sender, receiver, fast, slow = _build(sim, config)
+    net, sender, receiver, sw1, sw2 = build_two_path(
+        sim, config.fast_rate_bps, config.slow_rate_bps,
+        config.link_delay_ns, config.link_delay_ns, config.fast_rate_bps,
+        config.link_delay_ns,
+        queue_factory=lambda: DropTailQueue(config.buffer_packets,
+                                            config.ecn_threshold),
+        selector=AlternatingSelector(config.flip_period_ns))
     monitor = RateMonitor(sim, config.sample_interval_ns)
 
     if protocol == "mtp":
+        fast, slow = (path.port_a for path in net.links[1:3])
+        source = lambda port: feedback_source(
+            config.mtp_feedback, sim, port, config.ecn_threshold,
+            4 * config.link_delay_ns + 4000)
         registry = PathletRegistry(sim)
-        source = _feedback_source_factory(sim, config)
-        if config.pathlet_mode == "per_link":
-            registry.register(fast.port_a, source(fast.port_a))
-            registry.register(slow.port_a, source(slow.port_a))
-        else:
-            # "single" mode: both links grouped into one pathlet, so the
-            # end-host cannot tell them apart (TCP-equivalent ablation).
-            shared_id = registry.register(fast.port_a, source(fast.port_a))
-            registry.register(slow.port_a, source(slow.port_a),
-                              pathlet_id=shared_id)
-        stack_sender = MtpStack(sender)
-        stack_receiver = MtpStack(receiver)
-        receiver_app = BlobReceiver()
-
-        def count_bytes(endpoint, message):
-            monitor.record_bytes(message.size)
-            receiver_app.on_message(endpoint, message)
-
-        stack_receiver.endpoint(port=100, on_message=count_bytes)
-        sender_endpoint = stack_sender.endpoint()
-        # A "long-lasting flow": an effectively unbounded blob.
-        BlobSender(sender_endpoint, receiver.address, 100,
-                   total_bytes=1 << 40, window_messages=512)
-    elif protocol == "mptcp":
-        from ..transport import MptcpStack
-        stack_sender = MptcpStack(sender)
-        stack_receiver = MptcpStack(receiver)
-        stack_receiver.listen(
-            80, lambda meta: ConnectionCallbacks(
-                on_data=lambda m, nbytes: monitor.record_bytes(nbytes)),
-            variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
-        stack_sender.connect(
-            receiver.address, 80,
-            ConnectionCallbacks(on_connected=lambda m: m.send(1 << 40)),
-            n_subflows=2, variant="dctcp",
-            min_rto_ns=config.tcp_min_rto_ns)
-    else:
-        stack_sender = TcpStack(sender)
-        stack_receiver = TcpStack(receiver)
-        stack_receiver.listen(
-            80, lambda conn: ConnectionCallbacks(
-                on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-            variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
-        stack_sender.connect(
-            receiver.address, 80,
-            ConnectionCallbacks(on_connected=lambda c: c.send(1 << 40)),
-            variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
+        fast_id = registry.register(fast, source(fast))
+        # "single" mode groups both links into one pathlet, so the
+        # end-host cannot tell them apart (TCP-equivalent ablation).
+        registry.register(slow, source(slow), pathlet_id=(
+            fast_id if config.pathlet_mode == "single" else None))
+    start_long_flows(protocol, sender, receiver, monitor.record_bytes,
+                     1, 512, None)
 
     sim.run(until=config.duration_ns)
     return Fig5Result(protocol, monitor.series_bps(config.duration_ns),

@@ -26,13 +26,14 @@ from typing import Dict, Optional
 from ..apps.workload import (LogUniformSize, MessageWorkload,
                              PoissonArrivals)
 from ..core import EcnFeedbackSource, MtpStack, PathletRegistry
-from ..net import (DropTailQueue, EcmpSelector, Network,
-                   PacketSpraySelector)
+from ..net import (DropTailQueue, EcmpSelector, PacketSpraySelector,
+                   build_two_path)
 from ..offloads.lb import MessageAwareSelector
 from ..sim import (KIB, MIB, SeedSequence, Simulator, gbps, microseconds,
                    milliseconds)
 from ..stats import FctCollector
 from ..transport import ConnectionCallbacks, TcpStack
+from .common import TCP_MIN_RTO_NS
 
 __all__ = ["Fig6Config", "Fig6Result", "run_fig6", "compare_fig6",
            "SYSTEMS"]
@@ -53,7 +54,6 @@ class Fig6Config:
                  buffer_packets: int = 128,
                  ecn_threshold: int = 20,
                  seed: int = 1,
-                 tcp_min_rto_ns: int = milliseconds(1),
                  mtp_intra_message_spray: bool = False):
         self.path_rate_bps = path_rate_bps
         self.extra_delay_ns = extra_delay_ns
@@ -68,7 +68,6 @@ class Fig6Config:
         self.buffer_packets = buffer_packets
         self.ecn_threshold = ecn_threshold
         self.seed = seed
-        self.tcp_min_rto_ns = tcp_min_rto_ns
         #: Ablation: let the MTP balancer spray packets of one message
         #: across paths (violating message atomicity).
         self.mtp_intra_message_spray = mtp_intra_message_spray
@@ -106,26 +105,6 @@ class Fig6Result:
                 f"p99={self.p99_fct_ns() / 1e6:.2f}ms>")
 
 
-def _build(sim: Simulator, config: Fig6Config, selector):
-    net = Network(sim)
-    sender = net.add_host("sender")
-    receiver = net.add_host("receiver")
-    sw1 = net.add_switch("sw1", selector=selector)
-    sw2 = net.add_switch("sw2")
-    queue = lambda: DropTailQueue(config.buffer_packets,
-                                  config.ecn_threshold)
-    edge_rate = 2 * config.path_rate_bps
-    net.connect(sender, sw1, edge_rate, config.base_delay_ns)
-    path_a = net.connect(sw1, sw2, config.path_rate_bps,
-                         config.base_delay_ns, queue_factory=queue)
-    path_b = net.connect(sw1, sw2, config.path_rate_bps,
-                         config.base_delay_ns + config.extra_delay_ns,
-                         queue_factory=queue)
-    net.connect(sw2, receiver, edge_rate, config.base_delay_ns)
-    net.install_routes()
-    return net, sender, receiver, path_a, path_b
-
-
 def run_fig6(system: str, config: Optional[Fig6Config] = None,
              sim: Optional[Simulator] = None) -> Fig6Result:
     """Run one balancing system over the common workload."""
@@ -141,7 +120,13 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
         selector = PacketSpraySelector()
     else:
         selector = MessageAwareSelector()
-    net, sender, receiver, path_a, path_b = _build(sim, config, selector)
+    net, sender, receiver, sw1, sw2 = build_two_path(
+        sim, config.path_rate_bps, config.path_rate_bps,
+        config.base_delay_ns, config.base_delay_ns + config.extra_delay_ns,
+        2 * config.path_rate_bps, config.base_delay_ns,
+        queue_factory=lambda: DropTailQueue(config.buffer_packets,
+                                            config.ecn_threshold),
+        selector=selector)
     fct = FctCollector()
     seeds = SeedSequence(config.seed)
     sizes = LogUniformSize(config.min_message_bytes,
@@ -153,7 +138,7 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
         receiver_stack = TcpStack(receiver)
         receiver_stack.listen(80, lambda conn: ConnectionCallbacks(),
                               variant="dctcp",
-                              min_rto_ns=config.tcp_min_rto_ns)
+                              min_rto_ns=TCP_MIN_RTO_NS)
 
         def submit(size: int) -> None:
             start = sim.now
@@ -165,15 +150,14 @@ def run_fig6(system: str, config: Optional[Fig6Config] = None,
             conn = sender_stack.connect(
                 receiver.address, 80,
                 ConnectionCallbacks(on_connected=on_connected),
-                variant="dctcp", min_rto_ns=config.tcp_min_rto_ns)
+                variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS)
             conn.on_finished = lambda c, start=start: fct.record(
                 sim.now - start)
     else:
         registry = PathletRegistry(sim)
-        registry.register(path_a.port_a,
-                          EcnFeedbackSource(config.ecn_threshold))
-        registry.register(path_b.port_a,
-                          EcnFeedbackSource(config.ecn_threshold))
+        for path in net.links[1:3]:
+            registry.register(path.port_a,
+                              EcnFeedbackSource(config.ecn_threshold))
         sender_stack = MtpStack(sender)
         receiver_stack = MtpStack(receiver)
         receiver_stack.endpoint(port=100)

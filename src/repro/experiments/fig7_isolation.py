@@ -17,15 +17,14 @@ The driver reports per-tenant goodput and the Jain fairness index.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core import BlobReceiver, BlobSender, EcnFeedbackSource, MtpStack, \
-    PathletRegistry
+from ..core import EcnFeedbackSource, PathletRegistry
 from ..net import Network, RateMonitor
 from ..policies import TrafficClassMap, isolation_queue_factory
 from ..sim import Simulator, gbps, microseconds, milliseconds
 from ..stats import jain_fairness
-from ..transport import ConnectionCallbacks, TcpStack
+from .common import start_long_flows
 
 __all__ = ["Fig7Config", "Fig7Result", "run_fig7", "compare_fig7",
            "SYSTEMS"]
@@ -39,8 +38,6 @@ EDGE_RATE_BPS = gbps(100)
 #: Bottleneck queue in packets, and its ECN marking threshold.
 BUFFER_PACKETS = 256
 ECN_THRESHOLD = 20
-#: Minimum TCP retransmission timeout.
-TCP_MIN_RTO_NS = milliseconds(1)
 #: Streams per tenant: tenant 2 runs 8x as many as tenant 1 (the paper's
 #: ratio).
 STREAMS = {"tenant1": 2, "tenant2": 16}
@@ -113,42 +110,17 @@ def run_fig7(system: str, config: Optional[Fig7Config] = None,
     monitors = {tenant: RateMonitor(sim, microseconds(100))
                 for tenant in hosts}
 
+    protocol = "dctcp"
     if system == "fair_share":
+        protocol = "mtp"
         tc_map = TrafficClassMap({"tenant1": 0, "tenant2": 1})
-        registry = PathletRegistry(sim)
-        registry.register(bottleneck_port,
-                          EcnFeedbackSource(ECN_THRESHOLD),
-                          tc_classifier=tc_map.classify)
-        for tenant, (sender, receiver) in hosts.items():
-            sender_stack = MtpStack(sender)
-            receiver_stack = MtpStack(receiver)
-            monitor = monitors[tenant]
-
-            def on_message(endpoint, message, monitor=monitor):
-                monitor.record_bytes(message.size)
-
-            receiver_stack.endpoint(port=100, on_message=on_message)
-            endpoint = sender_stack.endpoint(tc=tenant)
-            for _ in range(STREAMS[tenant]):
-                BlobSender(endpoint, receiver.address, 100,
-                           total_bytes=1 << 40, window_messages=128)
-    else:
-        for tenant, (sender, receiver) in hosts.items():
-            sender_stack = TcpStack(sender)
-            receiver_stack = TcpStack(receiver)
-            monitor = monitors[tenant]
-            receiver_stack.listen(
-                80, lambda conn, monitor=monitor: ConnectionCallbacks(
-                    on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-                variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS,
-                entity=tenant)
-            for _ in range(STREAMS[tenant]):
-                sender_stack.connect(
-                    receiver.address, 80,
-                    ConnectionCallbacks(
-                        on_connected=lambda conn: conn.send(1 << 40)),
-                    variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS,
-                    entity=tenant)
+        PathletRegistry(sim).register(bottleneck_port,
+                                      EcnFeedbackSource(ECN_THRESHOLD),
+                                      tc_classifier=tc_map.classify)
+    for tenant, (sender, receiver) in hosts.items():
+        start_long_flows(protocol, sender, receiver,
+                         monitors[tenant].record_bytes, STREAMS[tenant],
+                         128, tenant)
 
     sim.run(until=config.duration_ns)
     goodput = {tenant: monitor.mean_bps(config.warmup_ns,

@@ -37,11 +37,10 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis import ConservationReport, PacketLedger, SanitizingSimulator
 from ..chaos import ChaosController, ChaosSchedule, FaultRecovery, \
     RecoveryMonitor
-from ..core import BlobSender, EcnFeedbackSource, MtpStack, PathletRegistry
-from ..net import DropTailQueue, FailoverSelector, Network, Packet
+from ..core import EcnFeedbackSource, PathletRegistry
+from ..net import DropTailQueue, FailoverSelector, Packet, build_two_path
 from ..sim import Simulator, gbps, microseconds, milliseconds
-from ..transport import ConnectionCallbacks, TcpStack
-from .common import attach_exclusion_lookup, series_stats
+from .common import attach_exclusion_lookup, series_stats, start_long_flows
 
 __all__ = ["Fig8Config", "Fig8Result", "TelemetryOffload", "run_fig8",
            "compare_fig8"]
@@ -53,8 +52,6 @@ PATH_RATE_BPS = gbps(40)
 LINK_DELAY_NS = microseconds(1)
 BUFFER_PACKETS = 128
 ECN_THRESHOLD = 20
-#: Minimum TCP retransmission timeout.
-TCP_MIN_RTO_NS = milliseconds(1)
 #: Seeds the chaos controller's corruption stream only.
 SEED = 7
 
@@ -160,28 +157,6 @@ class Fig8Result:
                 f"ttr={ttr if ttr is not None else 'never'}>")
 
 
-def _build(sim: Simulator, config: Fig8Config):
-    net = Network(sim)
-    sender = net.add_host("sender")
-    receiver = net.add_host("receiver")
-    # Both switches reroute (each with its own detection state): the
-    # forward path fails over at sw1, the reverse (ACK) path at sw2.
-    selector = FailoverSelector(config.detection_delay_ns)
-    reverse_selector = FailoverSelector(config.detection_delay_ns)
-    sw1 = net.add_switch("sw1", selector=selector)
-    sw2 = net.add_switch("sw2", selector=reverse_selector)
-    queue = lambda: DropTailQueue(BUFFER_PACKETS, ECN_THRESHOLD)
-    net.connect(sender, sw1, EDGE_RATE_BPS, LINK_DELAY_NS)
-    primary = net.connect(sw1, sw2, PATH_RATE_BPS, LINK_DELAY_NS,
-                          queue_factory=queue)
-    backup = net.connect(sw1, sw2, PATH_RATE_BPS, LINK_DELAY_NS,
-                         queue_factory=queue)
-    net.connect(sw2, receiver, EDGE_RATE_BPS, LINK_DELAY_NS)
-    net.install_routes()
-    return (net, sender, receiver, sw1, sw2, primary, backup,
-            (selector, reverse_selector))
-
-
 def _schedule(config: Fig8Config) -> ChaosSchedule:
     return (ChaosSchedule()
             .link_flap("sw1", "sw2", config.flap_down_ns,
@@ -206,8 +181,16 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
     config = config or Fig8Config()
     if sim is None:
         sim = SanitizingSimulator(ledger=PacketLedger())
-    (net, sender, receiver, sw1, sw2, primary, backup,
-     selectors) = _build(sim, config)
+    # Both switches reroute (each with its own detection state): the
+    # forward path fails over at sw1, the reverse (ACK) path at sw2.
+    selectors = (FailoverSelector(config.detection_delay_ns),
+                 FailoverSelector(config.detection_delay_ns))
+    net, sender, receiver, sw1, sw2 = build_two_path(
+        sim, PATH_RATE_BPS, PATH_RATE_BPS, LINK_DELAY_NS, LINK_DELAY_NS,
+        EDGE_RATE_BPS, LINK_DELAY_NS,
+        queue_factory=lambda: DropTailQueue(BUFFER_PACKETS, ECN_THRESHOLD),
+        selector=selectors[0])
+    sw2.selector = selectors[1]
 
     telemetry = TelemetryOffload()
     sw1.add_processor(telemetry)
@@ -216,42 +199,22 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
                                  seed=SEED)
     controller.install()
 
-    # The retransmission probe is bound after the stacks exist.
-    retx = {"probe": lambda: 0}
-    monitor = RecoveryMonitor(sim, config.sample_interval_ns,
-                              retx_probe=lambda: retx["probe"]())
+    # The flows start after the monitor; its probe reads them during the
+    # run.
+    flows: list = []
+    monitor = RecoveryMonitor(
+        sim, config.sample_interval_ns,
+        retx_probe=lambda: flows[0].retransmissions)
     sim.at(config.flap_down_ns, monitor.note_fault, "link_down")
     sim.at(config.migrate_ns, monitor.note_fault, "offload_migrate")
 
     if protocol == "mtp":
         registry = PathletRegistry(sim)
-        registry.register(primary.port_a,
-                          EcnFeedbackSource(ECN_THRESHOLD))
-        registry.register(backup.port_a,
-                          EcnFeedbackSource(ECN_THRESHOLD))
+        for path in net.links[1:3]:
+            registry.register(path.port_a, EcnFeedbackSource(ECN_THRESHOLD))
         attach_exclusion_lookup(sw1, registry)
-        stack_sender = MtpStack(sender)
-        stack_receiver = MtpStack(receiver)
-        stack_receiver.endpoint(
-            port=100,
-            on_message=lambda endpoint, message:
-                monitor.record_bytes(message.size))
-        sender_endpoint = stack_sender.endpoint()
-        BlobSender(sender_endpoint, receiver.address, 100,
-                   total_bytes=1 << 40, window_messages=512)
-        retx["probe"] = lambda: sender_endpoint.retransmissions
-    else:
-        stack_sender = TcpStack(sender)
-        stack_receiver = TcpStack(receiver)
-        stack_receiver.listen(
-            80, lambda conn: ConnectionCallbacks(
-                on_data=lambda c, nbytes: monitor.record_bytes(nbytes)),
-            variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS)
-        connection = stack_sender.connect(
-            receiver.address, 80,
-            ConnectionCallbacks(on_connected=lambda c: c.send(1 << 40)),
-            variant="dctcp", min_rto_ns=TCP_MIN_RTO_NS)
-        retx["probe"] = lambda: connection.retransmissions
+    flows += start_long_flows(protocol, sender, receiver,
+                              monitor.record_bytes, 1, 512, None)
 
     sim.run(until=config.duration_ns)
 
@@ -261,7 +224,8 @@ def run_fig8(protocol: str, config: Optional[Fig8Config] = None,
     return Fig8Result(protocol, monitor.rate.series_bps(config.duration_ns),
                       recoveries, config, conservation,
                       list(controller.applied), telemetry,
-                      sum(s.failovers for s in selectors), retx["probe"]())
+                      sum(s.failovers for s in selectors),
+                      flows[0].retransmissions)
 
 
 def compare_fig8(config: Optional[Fig8Config] = None

@@ -168,7 +168,9 @@ def build_two_path(sim: Simulator, rate_a_bps: int, rate_b_bps: int,
 
     ``sender --edge--> sw1 ==(path A | path B)==> sw2 --edge--> receiver``.
     Paths A and B are parallel links between sw1 and sw2 with independent
-    rates and delays; ``selector`` decides how sw1 splits traffic.
+    rates and delays; ``selector`` decides how sw1 splits traffic.  As in
+    :func:`build_dumbbell`, edge links get the default queues and the
+    queue factory applies to both paths, which are ``network.links[1:3]``.
     Returns ``(network, sender, receiver, sw1, sw2)``.
     """
     net = Network(sim)
@@ -176,12 +178,10 @@ def build_two_path(sim: Simulator, rate_a_bps: int, rate_b_bps: int,
     receiver = net.add_host("receiver")
     sw1 = net.add_switch("sw1", selector=selector)
     sw2 = net.add_switch("sw2")
-    net.connect(sender, sw1, edge_rate_bps, edge_delay_ns,
-                queue_factory=queue_factory)
+    net.connect(sender, sw1, edge_rate_bps, edge_delay_ns)
     net.connect(sw1, sw2, rate_a_bps, delay_a_ns, queue_factory=queue_factory)
     net.connect(sw1, sw2, rate_b_bps, delay_b_ns, queue_factory=queue_factory)
-    net.connect(sw2, receiver, edge_rate_bps, edge_delay_ns,
-                queue_factory=queue_factory)
+    net.connect(sw2, receiver, edge_rate_bps, edge_delay_ns)
     net.install_routes()
     return net, sender, receiver, sw1, sw2
 

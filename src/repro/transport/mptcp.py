@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..net.node import Host
 from ..net.packet import Packet
 from ..sim.engine import Simulator
-from ..sim.units import SECOND, microseconds
+from ..sim.units import microseconds
 from .base import ConnectionCallbacks, TransportStack
 from .tcp import TcpConnection, TcpHeader, TcpStack, FLAG_ACK, FLAG_SYN
 

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple  # noqa: F401
 from ..net.node import Host
 from ..net.packet import DEFAULT_HEADER_BYTES, MTU, Packet
 from ..sim.engine import Timer
-from ..sim.units import SECOND, microseconds, transmission_delay
+from ..sim.units import microseconds, transmission_delay
 
 __all__ = ["RdmaStack", "RcQueuePair", "UcQueuePair", "UdQueuePair",
            "RDMA_MAX_UD_PAYLOAD"]

@@ -3,7 +3,7 @@
 from repro.apps import KvsClient, KvsServer, RpcClient, RpcServer
 from repro.core import MtpStack
 from repro.net import DropTailQueue, Network
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 
 
 def star(sim, n_hosts, rate=gbps(10)):

@@ -10,7 +10,7 @@ import pytest
 from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
 from repro.core.reassembly import BlobSender
 from repro.net import DropTailQueue, Network, RateMonitor
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import (ConnectionCallbacks, QuicStack, TcpStack,
                              UdpStack)
 

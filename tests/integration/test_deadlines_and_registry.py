@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core import (EcnFeedbackSource, FB_QUEUE, FEEDBACK_ALGORITHMS,
-                        Feedback, MtpStack, PathletRegistry,
-                        QueueFeedbackSource, WindowEcnController,
-                        register_feedback_algorithm)
+from repro.core import (FB_QUEUE, FEEDBACK_ALGORITHMS, MtpStack,
+                        PathletRegistry, QueueFeedbackSource,
+                        WindowEcnController, register_feedback_algorithm)
 from repro.net import BlackoutProcessor, DropTailQueue, Network
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 
 
 def switched_pair(sim, rate=gbps(10)):

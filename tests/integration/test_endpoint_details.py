@@ -7,7 +7,7 @@ from repro.core import (EcnFeedbackSource, KIND_ACK, MtpStack,
                         PathletRegistry)
 from repro.core.endpoint import MIN_RTO_NS
 from repro.net import DeterministicDropProcessor, DropTailQueue, Network
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 
 
 def switched_pair(sim, rate=gbps(10)):

@@ -3,8 +3,8 @@ congested pathlets (Section 3.1.3 "end-hosts provide feedback to the
 network about the pathlets that should not be used")."""
 
 from repro.core import (EcnFeedbackSource, MtpStack, PathletRegistry)
-from repro.net import (DropTailQueue, EcmpSelector, Network, Packet)
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.net import DropTailQueue, EcmpSelector, Network
+from repro.sim import gbps, mbps, microseconds, milliseconds
 
 
 class ExclusionTap:

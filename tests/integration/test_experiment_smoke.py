@@ -9,9 +9,11 @@ import pytest
 
 from repro.experiments import (Fig2Config, Fig3Config, Fig5Config,
                                Fig6Config, Fig7Config, Fig8Config,
-                               compare_fig2, compare_fig8, run_fig3,
-                               run_fig5, run_fig6, run_fig7, run_fig8,
-                               render_paper_table, run_probes)
+                               ablate_message_atomicity,
+                               ablate_pathlet_granularity, ablations,
+                               compare_fig2, compare_fig8, fig2_proxy,
+                               run_fig3, run_fig5, run_fig6, run_fig7,
+                               run_fig8, render_paper_table, run_probes)
 from repro.sim import microseconds, milliseconds
 
 
@@ -144,6 +146,35 @@ class TestTable1Driver:
 
     def test_probes_all_pass(self):
         assert all(run_probes().values())
+
+
+class TestConfigVariants:
+    def test_variants_keep_every_base_field(self, monkeypatch):
+        """Each variant differs from its base config in one field only."""
+        received = []
+        monkeypatch.setattr(ablations, "run_fig5",
+                            lambda protocol, config: received.append(config))
+        monkeypatch.setattr(ablations, "run_fig6",
+                            lambda system, config: received.append(config))
+        monkeypatch.setattr(fig2_proxy, "run_fig2", received.append)
+        fig5 = Fig5Config(mtp_feedback="delay", duration_ns=milliseconds(1))
+        fig6 = Fig6Config(seed=9, offered_load=0.3)
+        fig2 = Fig2Config(transfer_bytes=1000,
+                          sample_interval_ns=microseconds(7))
+        ablate_pathlet_granularity(fig5)
+        ablate_message_atomicity(fig6)
+        compare_fig2(fig2, limited_buffer_bytes=4096)
+        expected = [(fig5, "pathlet_mode", "per_link"),
+                    (fig5, "pathlet_mode", "single"),
+                    (fig6, "mtp_intra_message_spray", False),
+                    (fig6, "mtp_intra_message_spray", True),
+                    (fig2, "buffer_limit", None),
+                    (fig2, "buffer_limit", 4096)]
+        assert len(received) == len(expected)
+        for config, (base, field, value) in zip(received, expected):
+            assert getattr(config, field) == value
+            assert {**vars(config), field: None} == \
+                {**vars(base), field: None}
 
 
 class TestCliRunner:

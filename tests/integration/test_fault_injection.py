@@ -9,8 +9,7 @@ from repro.core.header import KIND_ACK, KIND_DATA
 from repro.net import (BlackoutProcessor, CorruptionProcessor,
                        DeterministicDropProcessor, DropTailQueue, Network,
                        RandomDropProcessor, drop_acks_filter)
-from repro.sim import (SeedSequence, Simulator, gbps, microseconds,
-                       milliseconds)
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 from repro.transport.tcp import FLAG_ACK
 

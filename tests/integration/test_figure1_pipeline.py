@@ -7,7 +7,7 @@ from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
 from repro.net import DropTailQueue, Network
 from repro.offloads import (InNetworkCache, L7LoadBalancer,
                             MessageAwareSelector, Replica)
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 
 
 @pytest.fixture

@@ -1,12 +1,9 @@
 """TCP-island bridging over an MTP core (Section 4)."""
 
-import pytest
-
 from repro.core import EcnFeedbackSource, PathletRegistry
-from repro.net import (DropTailQueue, EcmpSelector, Network,
-                       PacketSpraySelector)
+from repro.net import DropTailQueue, Network, PacketSpraySelector
 from repro.offloads import TcpMtpGateway
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 
 

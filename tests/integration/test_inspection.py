@@ -1,11 +1,9 @@
 """IDS-style inspection offload: flagging, dropping, bounded state."""
 
-import pytest
-
 from repro.core import MtpStack
 from repro.net import DropTailQueue, Network
 from repro.offloads import InspectionOffload
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 
 
 def switched_pair(sim):

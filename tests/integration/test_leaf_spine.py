@@ -6,7 +6,7 @@ from repro.core import (EcnFeedbackSource, MtpStack, PathletRegistry)
 from repro.net import (DropTailQueue, EcmpSelector, PacketSpraySelector,
                        build_leaf_spine)
 from repro.offloads import MessageAwareSelector
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 
 

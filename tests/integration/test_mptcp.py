@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import (DropTailQueue, EcmpSelector, Network, build_two_path)
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import Simulator, gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, MptcpStack, TcpStack
 from repro.transport.mptcp import _IntervalSet
 

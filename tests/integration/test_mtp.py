@@ -6,7 +6,7 @@ from repro.analysis import PacketLedger
 from repro.core import (BlobReceiver, BlobSender, EcnFeedbackSource,
                         MtpStack, PathletRegistry, UNKNOWN_PATHLET)
 from repro.net import (AlternatingSelector, DropTailQueue, Network)
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 
 
 def mtp_pair(sim, rate=gbps(10), delay=microseconds(5), queue_capacity=128,

@@ -5,12 +5,9 @@ compresses, the far side decompresses — exercised end to end, including
 the case where the two offloads disagree about what fits in their budgets.
 """
 
-import pytest
-
 from repro.core import MtpStack
 from repro.net import DropTailQueue, Network
-from repro.offloads import (CompressedPayload, MutatingOffload, compressor,
-                            decompressor)
+from repro.offloads import MutatingOffload, compressor, decompressor
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
 
 

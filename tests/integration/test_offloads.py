@@ -1,10 +1,8 @@
 """In-network offloads end-to-end: proxy, cache, L7 LB, mutation,
 aggregation, trimming."""
 
-import pytest
-
 from repro.apps import KvsClient, KvsServer, RpcClient, RpcServer
-from repro.core import (EcnFeedbackSource, MtpStack, PathletRegistry)
+from repro.core import MtpStack
 from repro.net import DropTailQueue, Network
 from repro.offloads import (AggregationOffload, GradientChunk,
                             AggregatedChunk, CompressedPayload,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import DropTailQueue, Network, RandomDropProcessor
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, QuicConnection, QuicStack
 
 

@@ -7,12 +7,10 @@ error fires exactly once, the retransmission timer is fully disarmed,
 and no ghost events linger in the scheduler.
 """
 
-import pytest
-
 from repro.analysis import PacketLedger, SanitizingSimulator
 from repro.core import MtpStack
 from repro.net import Network
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 
 

@@ -11,7 +11,7 @@ from repro.apps import KvsClient, KvsServer
 from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
 from repro.net import DropTailQueue, EcmpSelector, build_leaf_spine
 from repro.offloads import AggregationOffload, GradientChunk, InNetworkCache
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack, UdpStack
 
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.net import DropTailQueue, Network
 from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
-from repro.transport import ConnectionCallbacks, TcpStack
+from repro.transport import ConnectionCallbacks
 from tests.util import TransferApp, run_transfer, tcp_pair
 
 

@@ -1,10 +1,8 @@
 """TCP recovery and stream-semantics details."""
 
-import pytest
-
 from repro.net import (BlackoutProcessor, DropTailQueue, Network)
 from repro.net.packet import Packet
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 from repro.transport.tcp import FLAG_ACK, TcpHeader
 from tests.util import TransferApp, tcp_pair

@@ -1,10 +1,7 @@
 """TCP SACK: receiver range generation, sender loss inference, recovery."""
 
-import pytest
-
-from repro.net import DropTailQueue, Network
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
-from repro.transport import ConnectionCallbacks, TcpStack
+from repro.sim import mbps, microseconds, milliseconds
+from repro.transport import ConnectionCallbacks
 from tests.util import TransferApp, tcp_pair
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import PacketLedger
 from repro.net import DropTailQueue, Network
-from repro.sim import Simulator, gbps, mbps, microseconds, milliseconds
+from repro.sim import gbps, mbps, microseconds, milliseconds
 from repro.transport import UdpStack
 
 

@@ -1,10 +1,10 @@
 """Property tests: congestion-controller and CC-manager invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (FB_DELAY, FB_ECN, FB_RATE, Feedback,
-                        PathletCcManager, WindowEcnController)
+from repro.core import FB_ECN, Feedback, PathletCcManager, WindowEcnController
 from repro.sim import microseconds
 
 MSS = 1460
@@ -69,16 +69,31 @@ def test_charge_uncharge_returns_to_zero(events):
             assert manager.inflight(pathlet_id, tc) == 0
 
 
-@given(charge_events)
+def balances(manager):
+    return {(pathlet_id, tc): manager.inflight(pathlet_id, tc)
+            for pathlet_id in (1, 2) for tc in ("tcA", "tcB")}
+
+
+@given(charge_events, st.randoms(use_true_random=False))
 @settings(max_examples=200)
-def test_inflight_never_negative(events):
+def test_inflight_never_negative(events, rng):
+    """An over-release raises and changes no balance; matched releases,
+    in any order, never take a balance below zero."""
     manager = PathletCcManager()
     for path, tc, nbytes in events:
-        # Interleave spurious uncharges: inflight must clamp at zero.
-        manager.uncharge(path, tc, nbytes)
+        before = balances(manager)
+        # One byte more than the smallest balance on the path.
+        excess = min(before[(pathlet_id, tc)] for pathlet_id in path) + 1
+        with pytest.raises(ValueError):
+            manager.uncharge(path, tc, excess)
+        assert balances(manager) == before
         manager.charge(path, tc, nbytes)
-        for pathlet_id in path:
-            assert manager.inflight(pathlet_id, tc) >= 0
+    releases = list(events)
+    rng.shuffle(releases)
+    for path, tc, nbytes in releases:
+        manager.uncharge(path, tc, nbytes)
+        assert min(balances(manager).values()) >= 0
+    assert set(balances(manager).values()) == {0}
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=5),

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis import PacketLedger
-from repro.net import (DropTailQueue, Host, Network, Packet, Switch)
-from repro.sim import Simulator, gbps, microseconds, transmission_delay
+from repro.net import DropTailQueue, Host, Network, Packet
+from repro.sim import gbps, microseconds, transmission_delay
 
 
 class Sink:

@@ -10,8 +10,8 @@ only after its loss-of-light detection delay.
 import pytest
 
 from repro.analysis import PacketLedger, SanitizingSimulator
-from repro.net import (FailoverSelector, Host, Network, Packet, Switch)
-from repro.sim import Simulator, gbps, microseconds, transmission_delay
+from repro.net import FailoverSelector, Network, Packet
+from repro.sim import gbps, microseconds, transmission_delay
 
 
 class Sink:

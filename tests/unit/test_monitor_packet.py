@@ -6,7 +6,7 @@ from repro.core import KIND_DATA, MtpHeader
 from repro.net import (ECT_CAPABLE, ECT_CE, ECT_NOT_CAPABLE, Packet,
                        PeriodicSampler, RateMonitor)
 from repro.offloads import MessageAwareSelector
-from repro.sim import Simulator, microseconds
+from repro.sim import Simulator
 
 
 class TestPacket:

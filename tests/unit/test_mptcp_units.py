@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import DropTailQueue, Network
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, MptcpStack
 
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import (FB_DELAY, FB_ECN, FB_QUEUE, FB_RATE,
-                        DelayFeedbackSource, EcnFeedbackSource, KIND_DATA,
-                        MtpHeader, PathletRegistry, QueueFeedbackSource,
+from repro.core import (FB_DELAY, FB_QUEUE, FB_RATE, DelayFeedbackSource,
+                        EcnFeedbackSource, KIND_DATA, MtpHeader,
+                        PathletRegistry, QueueFeedbackSource,
                         RateFeedbackSource, SelectiveFeedbackSource,
                         UNKNOWN_PATHLET)
 from repro.net import ECT_CAPABLE, DropTailQueue, Network, Packet
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import gbps, microseconds, milliseconds
 
 
 def linked_hosts(sim):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import KIND_DATA, MtpHeader, MtpStack
 from repro.net import DropTailQueue, Network, Packet, PriorityQueue
-from repro.sim import Simulator, mbps, microseconds, milliseconds
+from repro.sim import mbps, microseconds, milliseconds
 
 
 def mtp_pkt(priority, uidtag=0):

@@ -1,7 +1,5 @@
 """QUIC internals: ACK-range merging, stream reassembly, loss math."""
 
-import pytest
-
 from repro.transport.quic import PACKET_THRESHOLD, QuicStream
 
 

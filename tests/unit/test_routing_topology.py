@@ -1,9 +1,11 @@
 """Selectors and topology builders: ECMP pinning, spraying, alternation, routes."""
 
-from repro.net import (AlternatingSelector, EcmpSelector, LeastQueuedSelector,
-                       Network, Packet, PacketSpraySelector, build_dumbbell,
-                       build_two_path, stable_hash)
-from repro.sim import Simulator, gbps, microseconds
+from repro.net import (DEFAULT_HOST_QUEUE_CAPACITY, DEFAULT_QUEUE_CAPACITY,
+                       AlternatingSelector, DropTailQueue, EcmpSelector,
+                       LeastQueuedSelector, Network, Packet,
+                       PacketSpraySelector, build_dumbbell, build_two_path,
+                       stable_hash)
+from repro.sim import gbps, microseconds
 
 
 class FakePort:
@@ -94,6 +96,28 @@ class TestTopologies:
         candidates = sw1.candidate_ports(receiver.address)
         assert len(candidates) == 2
         assert all(port.peer is sw2 for port in candidates)
+
+    def test_two_path_queue_factory_applies_to_the_paths_only(self, sim):
+        net, sender, receiver, sw1, sw2 = build_two_path(
+            sim, rate_a_bps=gbps(100), rate_b_bps=gbps(10),
+            delay_a_ns=1000, delay_b_ns=1000,
+            edge_rate_bps=gbps(100), edge_delay_ns=1000,
+            queue_factory=lambda: DropTailQueue(7, 3))
+        paths = net.links[1:3]
+        assert paths == net.links_between("sw1", "sw2")
+        assert sw1.candidate_ports(receiver.address) == [
+            path.port_a for path in paths]
+        for path in paths:
+            for port in (path.port_a, path.port_b):
+                assert (port.queue.capacity,
+                        port.queue.ecn_threshold) == (7, 3)
+        # Edge links keep the default queues: the sender's and receiver's
+        # NICs the large host queue, the switch sides the bounded one.
+        edges = (net.links[0], net.links[3])
+        assert [port.queue.capacity for link in edges
+                for port in (link.port_a, link.port_b)] == [
+            DEFAULT_HOST_QUEUE_CAPACITY, DEFAULT_QUEUE_CAPACITY,
+            DEFAULT_QUEUE_CAPACITY, DEFAULT_HOST_QUEUE_CAPACITY]
 
     def test_two_path_end_to_end(self, sim):
         net, sender, receiver, sw1, sw2 = build_two_path(

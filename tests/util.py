@@ -1,7 +1,7 @@
 """Shared helpers for integration tests."""
 
 from repro.net import DropTailQueue, Network
-from repro.sim import Simulator, gbps, microseconds
+from repro.sim import gbps, microseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 
 
