@@ -9,7 +9,7 @@ serialization time, then arrives at the peer after the propagation delay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..sim.engine import Simulator
 from ..sim.units import transmission_delay
@@ -56,6 +56,9 @@ class Port:
         self.bytes_transmitted = 0
         self.packets_transmitted = 0
         self.busy_until = 0
+        #: Serialization delay by packet size: ``transmission_delay`` at
+        #: this port's fixed rate, computed once per distinct size.
+        self._tx_delays: Dict[int, int] = {}
         #: Link state: False while the attached link is administratively
         #: or physically down.  Egress is refused and in-flight packets
         #: (serializing or propagating) are lost when the link drops.
@@ -74,15 +77,16 @@ class Port:
         """Queue ``packet`` for transmission; returns False when it was dropped."""
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
+        sim = self.sim
+        ledger = sim.ledger
         if not self.up:
             # A downed link refuses egress outright: the packet is lost at
             # the NIC, mirroring a cable pull / interface-down.
             self.link_down_drops += 1
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name, "link_down")
+            if ledger is not None:
+                ledger.packet_dropped(packet, self.name, "link_down")
             return False
-        accepted = self.queue.enqueue(packet, self.sim.now)
-        ledger = self.sim.ledger
+        accepted = self.queue.enqueue(packet, sim.now)
         if ledger is not None:
             if accepted:
                 ledger.packet_enqueued(packet, self.name)
@@ -122,30 +126,35 @@ class Port:
         if not self.up:
             self._busy = False
             return
-        packet = self.queue.dequeue(self.sim.now)
+        sim = self.sim
+        packet = self.queue.dequeue(sim.now)
         if packet is None:
             self._busy = False
             return
-        if self.sim.ledger is not None:
-            self.sim.ledger.packet_wire(packet, self.name)
+        if sim.ledger is not None:
+            sim.ledger.packet_wire(packet, self.name)
         self._busy = True
-        tx_delay = transmission_delay(packet.size, self.rate_bps)
-        self.busy_until = self.sim.now + tx_delay
+        size = packet.size
+        tx_delay = self._tx_delays.get(size)
+        if tx_delay is None:
+            tx_delay = transmission_delay(size, self.rate_bps)
+            self._tx_delays[size] = tx_delay
+        self.busy_until = sim.now + tx_delay
         # Serialization completions are never cancelled: use the
         # handle-free fast path (one tuple instead of tuple + handle).
         # The epoch rides along so a completion scheduled before an
         # outage is recognised as belonging to a dead wire.
-        self.sim.schedule_fast(tx_delay, self._finish_transmission, packet,
-                               self.down_epoch)
+        sim.schedule_fast(tx_delay, self._finish_transmission, packet,
+                          self.down_epoch)
 
     def _finish_transmission(self, packet: Packet, epoch: int = -1) -> None:
+        sim = self.sim
         if epoch != self.down_epoch or not self.up:
             # The link dropped while this packet was serializing: the
             # partial frame is lost on the floor.
             self.link_down_drops += 1
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name,
-                                               "link_down")
+            if sim.ledger is not None:
+                sim.ledger.packet_dropped(packet, self.name, "link_down")
             return
         self.bytes_transmitted += packet.size
         self.packets_transmitted += 1
@@ -153,9 +162,13 @@ class Port:
             self.on_transmit(packet)
         # Propagation: packet arrives at the peer after the link delay.
         # Packets on the wire cannot be recalled — fast path again.
-        self.sim.schedule_fast(self.delay_ns, self._deliver, packet,
-                               self.down_epoch)
-        self._transmit_next()
+        sim.schedule_fast(self.delay_ns, self._deliver, packet,
+                          self.down_epoch)
+        # An empty queue leaves the transmitter idle until the next send.
+        if len(self.queue):
+            self._transmit_next()
+        else:
+            self._busy = False
 
     def _deliver(self, packet: Packet, epoch: int = -1) -> None:
         assert self.peer is not None and self.peer_port is not None

@@ -99,9 +99,13 @@ class Host(Node):
 
     def send(self, packet: Packet) -> bool:
         """Transmit ``packet`` out of the appropriate port."""
-        if self.sim.ledger is not None:
-            self.sim.ledger.packet_injected(packet, self.name)
-        return self.egress_port(packet.dst).send(packet)
+        ledger = self.sim.ledger
+        if ledger is not None:
+            ledger.packet_injected(packet, self.name)
+        port = self._routes.get(packet.dst)
+        if port is None:
+            port = self.egress_port(packet.dst)
+        return port.send(packet)
 
     def receive(self, packet: Packet, ingress: "Port") -> None:
         ledger = self.sim.ledger
@@ -222,6 +226,9 @@ class Switch(Node):
             return
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
+        if not self.processors:
+            self.forward(packet)
+            return
         packets: List[Packet] = [packet]
         for processor in self.processors:
             next_packets: List[Packet] = []
@@ -241,33 +248,36 @@ class Switch(Node):
 
     def forward(self, packet: Packet) -> None:
         """Route one packet to an egress port and enqueue it."""
-        if self.sim.ledger is not None:
+        ledger = self.sim.ledger
+        if ledger is not None:
             # Offloads inject brand-new packets (in-network ACKs, aggregated
             # gradients, cache answers) straight through forward().
-            self.sim.ledger.packet_forwarded(packet, self.name)
-        try:
-            candidates = self.candidate_ports(packet.dst)
-        except LookupError:
-            if self.sim.ledger is not None:
-                self.sim.ledger.packet_dropped(packet, self.name, "no_route")
+            ledger.packet_forwarded(packet, self.name)
+        candidates = self._table.get(packet.dst)
+        if candidates is None:
+            if ledger is not None:
+                ledger.packet_dropped(packet, self.name, "no_route")
             return
-        candidates = self._honour_exclusions(packet, candidates)
-        if len(candidates) == 1 or self.selector is None:
+        if len(candidates) == 1:
             port = candidates[0]
         else:
-            port = self.selector.select(packet, candidates, self.sim.now)
+            if self.pathlet_lookup is not None:
+                candidates = self._honour_exclusions(packet, candidates)
+            if len(candidates) == 1 or self.selector is None:
+                port = candidates[0]
+            else:
+                port = self.selector.select(packet, candidates, self.sim.now)
         port.send(packet)
 
     def _honour_exclusions(self, packet: Packet,
                            candidates: List["Port"]) -> List["Port"]:
         """Filter out ports whose pathlet the sender asked to avoid.
 
-        Only applies when a pathlet lookup is configured and the packet's
+        :meth:`forward` calls this only when a pathlet lookup is configured
+        and there is more than one candidate.  Applies when the packet's
         header carries a non-empty exclude list; if every candidate is
         excluded, the original set is used (the network must still deliver).
         """
-        if self.pathlet_lookup is None or len(candidates) <= 1:
-            return candidates
         excluded = getattr(packet.header, "path_exclude", None)
         if not excluded:
             return candidates

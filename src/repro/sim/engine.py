@@ -111,17 +111,16 @@ class Simulator:
     cancellations accumulated since the last one).
     """
 
-    __slots__ = ("_queue", "_cancelled", "_pending", "_now", "_seq",
-                 "_running", "_stopped", "_event_hooks", "events_executed",
-                 "ledger")
+    __slots__ = ("_queue", "_cancelled", "now", "_seq", "_running",
+                 "_stopped", "_event_hooks", "events_executed", "ledger")
 
     def __init__(self) -> None:
         self._queue: List[Entry] = []
         #: Lazily-cancelled entries still sitting in the heap.
         self._cancelled = 0
-        #: Live (uncancelled, unfired) entries.
-        self._pending = 0
-        self._now: int = 0
+        #: Current virtual time in nanoseconds.  A plain attribute, read on
+        #: every packet; only the simulator writes it.
+        self.now: int = 0
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -132,29 +131,23 @@ class Simulator:
         #: hosts, switches, and ports consult it when set.
         self.ledger: Optional[Any] = None
 
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
     def schedule(self, delay: int, callback: Callable[..., None],
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise _past_delay(delay)
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def at(self, time: int, callback: Callable[..., None],
            *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {format_time(time)}, "
-                f"now is {format_time(self._now)}")
+                f"now is {format_time(self.now)}")
         handle = EventHandle(time, self._seq, callback, args, self)
         heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
-        self._pending += 1
         return handle
 
     def schedule_fast(self, delay: int, callback: Callable[..., None],
@@ -169,9 +162,8 @@ class Simulator:
         """
         if delay < 0:
             raise _past_delay(delay)
-        heappush(self._queue, (self._now + delay, self._seq, callback, args))
+        heappush(self._queue, (self.now + delay, self._seq, callback, args))
         self._seq += 1
-        self._pending += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -196,7 +188,6 @@ class Simulator:
     def _note_cancelled(self) -> None:
         """Record that a queued event was lazily cancelled (see EventHandle)."""
         self._cancelled += 1
-        self._pending -= 1
 
     def _compact(self) -> None:
         """Rebuild the heap without lazily-cancelled entries (O(n)).
@@ -268,8 +259,7 @@ class Simulator:
                         break
                     heappop(queue)
                     callback, args = entry[2], entry[3]
-                self._pending -= 1
-                self._now = entry[0]
+                self.now = entry[0]
                 self.events_executed += 1
                 if hooks:
                     for hook in hooks:
@@ -277,17 +267,21 @@ class Simulator:
                 callback(*args)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def run_for(self, duration: int) -> int:
         """Run for ``duration`` ns of virtual time from the current instant."""
-        return self.run(until=self._now + duration)
+        return self.run(until=self.now + duration)
 
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1)."""
-        return self._pending
+        """Number of not-yet-cancelled events still queued.  O(1).
+
+        Exact because every fired or skipped entry is popped and
+        :meth:`_compact` removes exactly the ``_cancelled`` entries.
+        """
+        return len(self._queue) - self._cancelled
 
     def queued_entries(self) -> int:
         """Physical heap entries, including lazily-cancelled junk.
@@ -298,7 +292,7 @@ class Simulator:
         return len(self._queue)
 
     def __repr__(self) -> str:
-        return (f"<Simulator now={format_time(self._now)} "
+        return (f"<Simulator now={format_time(self.now)} "
                 f"queued={len(self._queue)} "
                 f"executed={self.events_executed}>")
 
@@ -351,7 +345,7 @@ class Timer:
             raise SimulationError("timer already running; use restart()")
         if delay < 0:
             raise _past_delay(delay)
-        self._deadline = self._sim._now + delay
+        self._deadline = self._sim.now + delay
         self._handle = self._sim.schedule(delay, self._fire)
 
     def restart(self, delay: int) -> None:
@@ -360,7 +354,7 @@ class Timer:
         """
         if delay < 0:
             raise _past_delay(delay)
-        deadline = self._sim._now + delay
+        deadline = self._sim.now + delay
         handle = self._handle
         if (handle is not None and not handle.cancelled
                 and handle.callback is not None
@@ -381,7 +375,7 @@ class Timer:
             self._handle = None
 
     def _fire(self) -> None:
-        remaining = self._deadline - self._sim._now
+        remaining = self._deadline - self._sim.now
         if remaining > 0:
             # The deadline moved forward after this event was queued
             # (deferred re-arm): chase it instead of firing.

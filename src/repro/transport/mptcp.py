@@ -315,7 +315,7 @@ class MptcpStack(TransportStack):
         if conn is not None:
             conn.handle_segment(packet, header)
             return
-        if header.has(FLAG_SYN) and not header.has(FLAG_ACK):
+        if header.flags & FLAG_SYN and not header.flags & FLAG_ACK:
             listener = self._listeners.get(header.dst_port)
             if listener is None:
                 return

@@ -73,10 +73,6 @@ class TcpHeader:
         #: up to 4 blocks).
         self.sack_blocks: List[Tuple[int, int]] = []
 
-    def has(self, flag: int) -> bool:
-        """True when ``flag`` is set on this segment."""
-        return bool(self.flags & flag)
-
     def __repr__(self) -> str:
         names = [name for bit, name in
                  ((FLAG_SYN, "SYN"), (FLAG_ACK, "ACK"), (FLAG_FIN, "FIN"))
@@ -140,7 +136,7 @@ class TcpStack(TransportStack):
         if conn is not None:
             conn.handle_segment(packet, header)
             return
-        if header.has(FLAG_SYN) and not header.has(FLAG_ACK):
+        if header.flags & FLAG_SYN and not header.flags & FLAG_ACK:
             listener = self._listeners.get(header.dst_port)
             if listener is not None:
                 accept, options = listener
@@ -196,6 +192,11 @@ class TcpConnection:
         self.auto_drain = auto_drain
         self.entity = entity
         self.meta_id = meta_id
+        #: Every segment of the connection carries this ECN codepoint and
+        #: flow label (the 5-tuple that ECMP hashes).
+        self._ecn = ECT_CAPABLE if variant == "dctcp" else ECT_NOT_CAPABLE
+        self._flow = (stack.host.address, local_port, remote_address,
+                      remote_port, "tcp")
         #: Optional override for congestion-avoidance growth — MPTCP's
         #: coupled increase installs itself here.  Called with
         #: ``(connection, newly_acked_bytes)``; slow start is unaffected.
@@ -349,13 +350,6 @@ class TcpConnection:
     # Segment transmission
     # ------------------------------------------------------------------
 
-    def _flow_label(self) -> Tuple:
-        return (self.stack.host.address, self.local_port,
-                self.remote_address, self.remote_port, "tcp")
-
-    def _ecn_codepoint(self) -> int:
-        return ECT_CAPABLE if self.variant == "dctcp" else ECT_NOT_CAPABLE
-
     def _advertised_window(self) -> int:
         if self.recv_buffer is None:
             return UNLIMITED_WINDOW
@@ -370,11 +364,11 @@ class TcpConnection:
                          meta_id=self.meta_id)
 
     def _transmit(self, header: TcpHeader, data_bytes: int) -> None:
-        packet = Packet(self.stack.host.address, self.remote_address,
+        flow = self._flow
+        packet = Packet(flow[0], self.remote_address,
                         DEFAULT_HEADER_BYTES + data_bytes, "tcp",
-                        header=header, ecn=self._ecn_codepoint(),
-                        flow_label=self._flow_label(), entity=self.entity,
-                        created_at=self.sim.now)
+                        header=header, ecn=self._ecn, flow_label=flow,
+                        entity=self.entity, created_at=self.sim.now)
         self.stack.send_packet(packet)
 
     def _send_control(self, flags: int, seq: int) -> None:
@@ -389,23 +383,28 @@ class TcpConnection:
         self._transmit(header, 0)
 
     def _sack_ranges(self, max_blocks: int = 4) -> List[Tuple[int, int]]:
-        """Contiguous runs of out-of-order data, lowest first (RFC 2018)."""
-        if not self._ooo:
+        """Contiguous runs of out-of-order data, lowest first (RFC 2018).
+
+        Stops at the first ``max_blocks`` runs; the segments above them
+        are never walked.
+        """
+        ooo = self._ooo
+        if not ooo:
             return []
         ranges: List[Tuple[int, int]] = []
-        start = None
-        end = None
-        for seq in sorted(self._ooo):
-            size = self._ooo[seq]
-            if start is None:
-                start, end = seq, seq + size
-            elif seq <= end:
-                end = max(end, seq + size)
-            else:
-                ranges.append((start, end))
-                start, end = seq, seq + size
+        seqs = sorted(ooo)
+        start = seqs[0]
+        end = start + ooo[start]
+        for seq in seqs:
+            if seq <= end:
+                end = max(end, seq + ooo[seq])
+                continue
+            ranges.append((start, end))
+            if len(ranges) == max_blocks:
+                return ranges
+            start, end = seq, seq + ooo[seq]
         ranges.append((start, end))
-        return ranges[:max_blocks]
+        return ranges
 
     def _effective_window(self) -> int:
         # Peer window is relative to the peer's cumulative ACK.
@@ -540,27 +539,27 @@ class TcpConnection:
         """Process one incoming segment (data, ACK, or control)."""
         if self.closed:
             return
-        if header.has(FLAG_SYN):
+        if header.flags & FLAG_SYN:
             self._handle_syn(header)
             return
         if self.state == "syn_sent":
             # Plain ACK without SYN in syn_sent: ignore.
             return
-        if header.has(FLAG_ACK) and header.ack > self.snd_nxt:
+        if header.flags & FLAG_ACK and header.ack > self.snd_nxt:
             # ACK of unsent data: re-ACK and drop (RFC 9293 §3.10.7.4).
             self._send_ack()
             return
-        if self.state == "syn_received" and header.has(FLAG_ACK):
+        if self.state == "syn_received" and header.flags & FLAG_ACK:
             self._become_established()
         if header.payload_len > 0:
             self._handle_data(packet, header)
-        if header.has(FLAG_FIN):
+        if header.flags & FLAG_FIN:
             self._handle_fin(header)
-        if header.has(FLAG_ACK):
+        if header.flags & FLAG_ACK:
             self._handle_ack(header)
 
     def _handle_syn(self, header: TcpHeader) -> None:
-        if header.has(FLAG_ACK):  # SYN-ACK at the client
+        if header.flags & FLAG_ACK:  # SYN-ACK at the client
             if self.state != "syn_sent":
                 return
             self.rcv_nxt = header.seq + 1
@@ -672,7 +671,7 @@ class TcpConnection:
             if self.on_send_progress is not None:
                 self.on_send_progress(newly_acked)
         elif (header.ack == self.snd_una and self.flight_size > 0
-              and header.payload_len == 0 and not header.has(FLAG_FIN)):
+              and header.payload_len == 0 and not header.flags & FLAG_FIN):
             self._dupacks += 1
             self._dctcp_on_ack(0, header.ece)
             if self._dupacks == 3 and not self._in_recovery:

@@ -220,7 +220,7 @@ class TestDropAcksFilter:
         assert pure_acks and data_segments
         for header in pure_acks:
             assert header.payload_len == 0
-            assert header.has(FLAG_ACK)
+            assert header.flags & FLAG_ACK
         for header, matched in data_segments:
             assert not matched, header
 

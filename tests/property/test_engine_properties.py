@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.engine import COMPACT_MIN_CANCELLED
+from repro.sim.engine import COMPACT_MIN_CANCELLED, Timer
 
 #: Operations: ("schedule", delay) or ("cancel", index of earlier schedule).
 operations = st.lists(
@@ -178,3 +178,60 @@ def test_compaction_inside_run_keeps_time_seq_order(plan):
                            if entry[1] not in cancelled)
     assert sim.pending_events() == 0
     assert sim.queued_entries() == 0
+
+
+#: Kernel operations: schedule a batch, schedule_fast, cancel one or every
+#: handle, timer restart and stop, peek, bounded run.  Indices pick among
+#: earlier handles / three timers; batches let cancellations pass the
+#: compaction threshold.
+kernel_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 2_000),
+                  st.integers(1, 8)),
+        st.tuples(st.just("fast"), st.integers(0, 2_000)),
+        st.tuples(st.just("cancel"), st.integers(0, 500)),
+        st.tuples(st.just("purge")),
+        st.tuples(st.just("restart"), st.integers(0, 2),
+                  st.integers(0, 2_000)),
+        st.tuples(st.just("stop"), st.integers(0, 2)),
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("run"), st.integers(0, 1_500))),
+    min_size=1, max_size=250)
+
+
+def live_heap_entries(sim):
+    """Brute-force count: fast entries plus uncancelled handle entries."""
+    return sum(1 for entry in sim._queue
+               if len(entry) == 4 or not entry[2].cancelled)
+
+
+@given(kernel_operations)
+@settings(max_examples=200, deadline=None)
+def test_pending_events_counts_live_heap_entries(ops):
+    sim = Simulator()
+    handles = []
+    timers = [Timer(sim, lambda: None) for _ in range(3)]
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            handles.extend(sim.schedule(op[1] + i, lambda: None)
+                           for i in range(op[2]))
+        elif kind == "fast":
+            sim.schedule_fast(op[1], lambda: None)
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif kind == "purge":
+            for handle in handles:
+                handle.cancel()
+        elif kind == "restart":
+            timers[op[1]].restart(op[2])
+        elif kind == "stop":
+            timers[op[1]].stop()
+        elif kind == "peek":
+            sim.peek_time()
+        else:
+            sim.run(until=sim.now + op[1])
+        assert sim.pending_events() == live_heap_entries(sim)
+    sim.run()
+    assert sim.pending_events() == live_heap_entries(sim) == 0

@@ -1,5 +1,8 @@
 """Links, ports, hosts, switches: delivery, timing, forwarding, offload hooks."""
 
+from fractions import Fraction
+import math
+
 import pytest
 
 from repro.analysis import PacketLedger
@@ -83,6 +86,61 @@ class TestPointToPoint:
         sim.run()
         assert sink.received == []
         assert ledger.drop_reasons == {"b:misrouted": 1}
+
+
+class CountingQueue(DropTailQueue):
+    """Drop-tail queue that counts :meth:`dequeue` calls."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.dequeue_calls = 0
+
+    def dequeue(self, now):
+        self.dequeue_calls += 1
+        return super().dequeue(now)
+
+
+class TestHopWork:
+    def test_dequeue_runs_once_per_transmitted_packet(self, sim):
+        net = Network(sim)
+        a = net.add_host("a")
+        b = net.add_host("b")
+        net.connect(a, b, gbps(10), microseconds(1),
+                    queue_factory=lambda: CountingQueue(64))
+        net.install_routes()
+        sink = Sink(sim)
+        b.register_protocol("test", sink)
+        port = a.port_to(b)
+        sent = 0
+        # Bursts with idle gaps: the queue drains empty after each one.
+        for burst in (1, 5, 2, 9):
+            for _ in range(burst):
+                a.send(Packet(a.address, b.address, 1500, "test"))
+            sent += burst
+            sim.run_for(microseconds(50))
+        assert len(sink.received) == sent
+        assert port.packets_transmitted == sent
+        assert port.queue.dequeue_calls == sent
+
+
+class TestSerializationDelay:
+    SIZES = (0, 1, 40, 1500, 9000)
+
+    @pytest.mark.parametrize("rate", [gbps(1), gbps(10), gbps(25),
+                                      gbps(100), 3_000_000_007])
+    def test_port_delay_equals_transmission_delay(self, sim, rate):
+        net, a, b, _ = two_hosts(sim, rate=rate, delay=0)
+        port = a.port_to(b)
+        # Twice through every size: first use, then repeated use.
+        for size in self.SIZES + self.SIZES:
+            packet = Packet(a.address, b.address, 1, "test")
+            packet.size = size  # Packet() refuses 0; trimming shrinks too
+            start = sim.now
+            a.send(packet)
+            delay = port.busy_until - start
+            assert delay == transmission_delay(size, rate)
+            assert delay == math.ceil(Fraction(size * 8 * 10**9, rate))
+            sim.run()
 
 
 class TestSwitchForwarding:
