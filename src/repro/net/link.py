@@ -165,7 +165,10 @@ class Port:
         sim.schedule_fast(self.delay_ns, self._deliver, packet,
                           self.down_epoch)
         # An empty queue leaves the transmitter idle until the next send.
-        if len(self.queue):
+        # The counters say whether a packet waits without a len() call
+        # (enqueued == dequeued + len, the QueueDiscipline invariant).
+        queue = self.queue
+        if queue.packets_enqueued != queue.packets_dequeued:
             self._transmit_next()
         else:
             self._busy = False

@@ -104,7 +104,10 @@ class Host(Node):
             ledger.packet_injected(packet, self.name)
         port = self._routes.get(packet.dst)
         if port is None:
-            port = self.egress_port(packet.dst)
+            # No pinned route: the first port (egress_port raises when
+            # there is none).
+            ports = self.ports
+            port = ports[0] if ports else self.egress_port(packet.dst)
         return port.send(packet)
 
     def receive(self, packet: Packet, ingress: "Port") -> None:

@@ -19,7 +19,7 @@ import random
 from collections import deque
 from typing import Deque, Dict, Iterator, Optional
 
-from .packet import Packet
+from .packet import ECT_CE, Packet
 
 __all__ = ["QueueDiscipline", "DropTailQueue", "DRRQueue", "FairShareQueue",
            "PriorityQueue", "RedQueue"]
@@ -32,7 +32,11 @@ class QueueDiscipline:
     :meth:`enqueue` / :meth:`dequeue` wrappers keep drop/byte counters
     consistent so monitors can rely on the conservation invariants
     ``offered == packets_enqueued + packets_dropped`` and
-    ``packets_enqueued == packets_dequeued + len(queue)``.
+    ``packets_enqueued == packets_dequeued + len(queue)``.  A discipline
+    on the per-packet path may instead override both wrappers whole, as
+    :class:`DropTailQueue` does, if it keeps the same counters.  Ports
+    rely on the second invariant: they test for a waiting packet with
+    ``packets_enqueued != packets_dequeued``.
     """
 
     def __init__(self) -> None:
@@ -94,6 +98,11 @@ class DropTailQueue(QueueDiscipline):
     Marking follows DCTCP: a packet is marked at enqueue time when the
     *instantaneous* queue length (including the new packet) exceeds
     ``ecn_threshold`` packets.
+
+    Almost every port of the paper's topologies runs one, so
+    :meth:`enqueue` and :meth:`dequeue` are written out in one frame each
+    instead of going through ``_admit`` / ``_next``; the counters are the
+    base class's.
     """
 
     def __init__(self, capacity: int, ecn_threshold: Optional[int] = None):
@@ -106,19 +115,34 @@ class DropTailQueue(QueueDiscipline):
         self.ecn_threshold = ecn_threshold
         self._fifo: Deque[Packet] = deque()
 
-    def _admit(self, packet: Packet, now: int) -> bool:
-        if len(self._fifo) >= self.capacity:
+    def enqueue(self, packet: Packet, now: int) -> bool:
+        size = packet.size
+        self.bytes_offered += size
+        fifo = self._fifo
+        depth = len(fifo)
+        if depth >= self.capacity:
+            self.packets_dropped += 1
+            self.bytes_dropped += size
             return False
-        if (self.ecn_threshold is not None
-                and len(self._fifo) + 1 > self.ecn_threshold):
-            if packet.ecn:
-                packet.mark_ce()
-                self.ecn_marked += 1
-        self._fifo.append(packet)
+        threshold = self.ecn_threshold
+        # ``depth + 1 > threshold``: the new packet counts; only
+        # ECN-capable packets (a non-zero codepoint) are marked.
+        if threshold is not None and depth >= threshold and packet.ecn:
+            packet.ecn = ECT_CE
+            self.ecn_marked += 1
+        fifo.append(packet)
+        self.packets_enqueued += 1
+        self.bytes_queued += size
         return True
 
-    def _next(self, now: int) -> Optional[Packet]:
-        return self._fifo.popleft() if self._fifo else None
+    def dequeue(self, now: int) -> Optional[Packet]:
+        fifo = self._fifo
+        if not fifo:
+            return None
+        packet = fifo.popleft()
+        self.packets_dequeued += 1
+        self.bytes_queued -= packet.size
+        return packet
 
     def resident(self) -> Iterator[Packet]:
         return iter(self._fifo)

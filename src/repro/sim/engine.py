@@ -9,12 +9,13 @@ path (packet arrivals, serialization completions), and :class:`Timer` for
 restartable timeouts (retransmission timers and the like).
 
 **Event-store entries and the tuple-ordering invariant.**  Entries are
-plain tuples: ``(time, seq, handle)`` for cancellable events and
-``(time, seq, callback, args)`` for fast events.  ``seq`` is unique per
-simulator, so tuple comparison — which is C-level, and what every heap
-operation uses — is always decided by ``(time, seq)`` and never reaches
-element 2.  :class:`EventHandle` therefore deliberately defines **no**
-``__lt__``; a regression test pins the invariant.
+plain 4-tuples: ``(time, seq, callback, args)`` for fast events and
+``(time, seq, None, handle)`` for cancellable ones, so the run loop tells
+them apart by one ``is None`` test.  ``seq`` is unique per simulator, so
+tuple comparison — which is C-level, and what every heap operation
+uses — is always decided by ``(time, seq)`` and never reaches element 2.
+:class:`EventHandle` therefore deliberately defines **no** ``__lt__``; a
+regression test pins the invariant.
 
 Correctness tooling (see ``repro.analysis``) plugs in through two optional
 hooks that cost one branch per event when unused:
@@ -39,9 +40,13 @@ __all__ = ["Simulator", "EventHandle", "Timer", "SimulationError"]
 #: lazily-cancelled entries (keeps tiny heaps out of the bookkeeping).
 COMPACT_MIN_CANCELLED = 64
 
-#: An event-store entry: ``(time, seq, handle)`` or
-#: ``(time, seq, callback, args)`` — see the module docstring.
+#: An event-store entry: ``(time, seq, callback, args)`` or
+#: ``(time, seq, None, handle)`` — see the module docstring.
 Entry = Tuple[Any, ...]
+
+#: The run loop's time limit when :meth:`Simulator.run` is given none:
+#: later than any event (about 292 years of nanoseconds).
+_NO_LIMIT = (1 << 63) - 1
 
 
 class SimulationError(RuntimeError):
@@ -63,9 +68,9 @@ class EventHandle:
     heap when lazy-cancelled entries dominate it.
 
     Handles are **never compared**: event-store entries are
-    ``(time, seq, handle)`` tuples whose comparison is decided by the
-    unique ``(time, seq)`` prefix, so this class intentionally defines no
-    ordering methods (see the module docstring).
+    ``(time, seq, None, handle)`` tuples whose comparison is decided by
+    the unique ``(time, seq)`` prefix, so this class intentionally defines
+    no ordering methods (see the module docstring).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
@@ -108,7 +113,8 @@ class Simulator:
     compaction: cancelled entries are skipped when they reach the head,
     and the heap is rebuilt without them once they dominate it (each
     compaction removes at least half the heap, paid for by the
-    cancellations accumulated since the last one).
+    cancellations accumulated since the last one).  The test runs where
+    the cancelled count grows, in :meth:`_note_cancelled`, not per event.
     """
 
     __slots__ = ("_queue", "_cancelled", "now", "_seq", "_running",
@@ -146,7 +152,7 @@ class Simulator:
                 f"cannot schedule at {format_time(time)}, "
                 f"now is {format_time(self.now)}")
         handle = EventHandle(time, self._seq, callback, args, self)
-        heappush(self._queue, (time, self._seq, handle))
+        heappush(self._queue, (time, self._seq, None, handle))
         self._seq += 1
         return handle
 
@@ -162,8 +168,9 @@ class Simulator:
         """
         if delay < 0:
             raise _past_delay(delay)
-        heappush(self._queue, (self.now + delay, self._seq, callback, args))
-        self._seq += 1
+        seq = self._seq
+        heappush(self._queue, (self.now + delay, seq, callback, args))
+        self._seq = seq + 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
@@ -186,8 +193,13 @@ class Simulator:
         self._event_hooks.remove(hook)
 
     def _note_cancelled(self) -> None:
-        """Record that a queued event was lazily cancelled (see EventHandle)."""
-        self._cancelled += 1
+        """Record that a queued event was lazily cancelled (see EventHandle),
+        and compact once cancelled entries dominate the heap."""
+        cancelled = self._cancelled + 1
+        self._cancelled = cancelled
+        if (cancelled > COMPACT_MIN_CANCELLED
+                and cancelled * 2 > len(self._queue)):
+            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without lazily-cancelled entries (O(n)).
@@ -197,19 +209,16 @@ class Simulator:
         """
         queue = self._queue
         queue[:] = [entry for entry in queue
-                    if len(entry) != 3 or not entry[2].cancelled]
+                    if entry[2] is not None or not entry[3].cancelled]
         heapify(queue)
         self._cancelled = 0
 
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event, or None when the queue is drained."""
         queue = self._queue
-        if (self._cancelled > COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(queue)):
-            self._compact()
         while queue:
             head = queue[0]
-            if len(head) == 3 and head[2].cancelled:
+            if head[2] is None and head[3].cancelled:
                 heappop(queue)
                 self._cancelled -= 1
                 continue
@@ -232,33 +241,26 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         hooks = self._event_hooks
+        limit = _NO_LIMIT if until is None else until
         try:
-            while not self._stopped:
-                if (self._cancelled > COMPACT_MIN_CANCELLED
-                        and self._cancelled * 2 > len(queue)):
-                    self._compact()
-                if not queue:
-                    break
+            while queue and not self._stopped:
                 entry = queue[0]
-                if len(entry) == 3:
-                    event = entry[2]
+                if entry[0] > limit:
+                    break
+                heappop(queue)
+                callback = entry[2]
+                if callback is None:
+                    event = entry[3]
                     if event.cancelled:
-                        heappop(queue)
                         self._cancelled -= 1
                         continue
-                    if until is not None and entry[0] > until:
-                        break
-                    heappop(queue)
                     callback, args = event.callback, event.args
                     # Release references so a held handle cannot keep large
                     # packet payloads alive after the event has fired.
                     event.callback = None
                     event.args = ()
                 else:
-                    if until is not None and entry[0] > until:
-                        break
-                    heappop(queue)
-                    callback, args = entry[2], entry[3]
+                    args = entry[3]
                 self.now = entry[0]
                 self.events_executed += 1
                 if hooks:
@@ -328,7 +330,9 @@ class Timer:
     @property
     def running(self) -> bool:
         """True while an expiry is scheduled."""
-        return self._handle is not None and self._handle.pending
+        handle = self._handle
+        return (handle is not None and not handle.cancelled
+                and handle.callback is not None)
 
     @property
     def expiry_time(self) -> Optional[int]:

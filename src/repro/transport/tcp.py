@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..net.node import Host
-from ..net.packet import (DEFAULT_HEADER_BYTES, ECT_CAPABLE, ECT_NOT_CAPABLE,
-                          Packet)
+from ..net.packet import (DEFAULT_HEADER_BYTES, ECT_CAPABLE, ECT_CE,
+                          ECT_NOT_CAPABLE, Packet)
 from ..sim.engine import Timer
 from ..sim.units import microseconds
 from .base import ConnectionCallbacks, RtoEstimator, TransportStack
@@ -35,6 +35,8 @@ FLAG_FIN = 0x4
 
 #: Practically infinite receive window for "unlimited buffer" experiments.
 UNLIMITED_WINDOW = 1 << 48
+#: SACK blocks an ACK carries at most (RFC 2018 with timestamps).
+MAX_SACK_BLOCKS = 4
 #: Initial congestion window in segments (RFC 6928).
 INIT_CWND_SEGMENTS = 10
 #: DCTCP's EWMA gain for ``alpha`` (Alizadeh et al., SIGCOMM'10).
@@ -70,8 +72,9 @@ class TcpHeader:
         self.meta_id = meta_id
         #: Selective acknowledgement ranges ``[(start, end), ...]`` —
         #: received-but-not-cumulatively-acked byte ranges (RFC 2018 style,
-        #: up to 4 blocks).
-        self.sack_blocks: List[Tuple[int, int]] = []
+        #: up to ``MAX_SACK_BLOCKS``), lowest first.  Only ACKs set it; the
+        #: shared empty tuple spares every other header a list.
+        self.sack_blocks: Sequence[Tuple[int, int]] = ()
 
     def __repr__(self) -> str:
         names = [name for bit, name in
@@ -236,6 +239,10 @@ class TcpConnection:
         # Receiver state.
         self.rcv_nxt = 0
         self._ooo: Dict[int, int] = {}  # seq -> len
+        #: The out-of-order data as sorted, disjoint ``(start, end)`` runs
+        #: (touching runs merged), kept up to date as segments arrive and
+        #: drain, so an ACK's SACK blocks are a slice of it.
+        self._sack_runs: List[Tuple[int, int]] = []
         self._unread = 0
         self._last_advertised = None  # type: Optional[int]
         self._peer_fin = False
@@ -355,65 +362,53 @@ class TcpConnection:
             return UNLIMITED_WINDOW
         return max(0, self.recv_buffer - self._unread)
 
+    # Headers and packets are built with positional arguments: keyword
+    # calls cost more, and these run for every segment.
+
     def _make_header(self, flags: int, seq: int, payload_len: int = 0,
                      ts_echo: int = -1) -> TcpHeader:
-        return TcpHeader(self.local_port, self.remote_port, seq=seq,
-                         ack=self.rcv_nxt, flags=flags,
-                         wnd=self._advertised_window(), ts=self.sim.now,
-                         ts_echo=ts_echo, payload_len=payload_len,
-                         meta_id=self.meta_id)
+        return TcpHeader(self.local_port, self.remote_port, seq,
+                         self.rcv_nxt, flags, self._advertised_window(),
+                         False, self.sim.now, ts_echo, payload_len,
+                         self.meta_id)
 
     def _transmit(self, header: TcpHeader, data_bytes: int) -> None:
         flow = self._flow
-        packet = Packet(flow[0], self.remote_address,
-                        DEFAULT_HEADER_BYTES + data_bytes, "tcp",
-                        header=header, ecn=self._ecn, flow_label=flow,
-                        entity=self.entity, created_at=self.sim.now)
-        self.stack.send_packet(packet)
+        self.stack.send_packet(Packet(
+            flow[0], self.remote_address, DEFAULT_HEADER_BYTES + data_bytes,
+            "tcp", header, self._ecn, flow, self.entity, self.sim.now))
 
     def _send_control(self, flags: int, seq: int) -> None:
         self._transmit(self._make_header(flags, seq), 0)
 
     def _send_ack(self, ece: bool = False, ts_echo: int = -1) -> None:
-        header = self._make_header(FLAG_ACK, self.snd_nxt, ts_echo=ts_echo)
-        header.ece = ece
+        recv_buffer = self.recv_buffer
+        header = TcpHeader(
+            self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt,
+            FLAG_ACK,
+            UNLIMITED_WINDOW if recv_buffer is None
+            else max(0, recv_buffer - self._unread),
+            ece, self.sim.now, ts_echo, 0, self.meta_id)
         header.sack_blocks = self._sack_ranges()
         # Pure ACKs are never ECN-marked targets of interest; still carry
         # the connection's codepoint so reverse-path marking is possible.
         self._transmit(header, 0)
 
-    def _sack_ranges(self, max_blocks: int = 4) -> List[Tuple[int, int]]:
+    def _sack_ranges(self, max_blocks: int = MAX_SACK_BLOCKS
+                     ) -> List[Tuple[int, int]]:
         """Contiguous runs of out-of-order data, lowest first (RFC 2018).
 
-        Stops at the first ``max_blocks`` runs; the segments above them
-        are never walked.
+        O(``max_blocks``): the runs are kept merged as data arrives (see
+        :meth:`_buffer_ooo`), so this is a slice.
         """
-        ooo = self._ooo
-        if not ooo:
-            return []
-        ranges: List[Tuple[int, int]] = []
-        seqs = sorted(ooo)
-        start = seqs[0]
-        end = start + ooo[start]
-        for seq in seqs:
-            if seq <= end:
-                end = max(end, seq + ooo[seq])
-                continue
-            ranges.append((start, end))
-            if len(ranges) == max_blocks:
-                return ranges
-            start, end = seq, seq + ooo[seq]
-        ranges.append((start, end))
-        return ranges
-
-    def _effective_window(self) -> int:
-        # Peer window is relative to the peer's cumulative ACK.
-        return min(self.cwnd, self.peer_ack + self.peer_wnd - self.snd_una)
+        return self._sack_runs[:max_blocks]
 
     def _try_send(self) -> None:
         if self.state != "established":
             return
-        window = self._effective_window()
+        # The effective window: the congestion window, or what is left of
+        # the peer's window, which is relative to its cumulative ACK.
+        window = min(self.cwnd, self.peer_ack + self.peer_wnd - self.snd_una)
         # Retransmissions of marked-lost segments first (in sequence order);
         # always allow progress when the pipe is empty.
         while self._lost:
@@ -447,8 +442,12 @@ class TcpConnection:
                 self._rto_timer.restart(self.rtt.rto)
 
     def _send_data_segment(self, seq: int, size: int) -> None:
-        header = self._make_header(FLAG_ACK, seq, payload_len=size)
-        self._transmit(header, size)
+        recv_buffer = self.recv_buffer
+        self._transmit(TcpHeader(
+            self.local_port, self.remote_port, seq, self.rcv_nxt, FLAG_ACK,
+            UNLIMITED_WINDOW if recv_buffer is None
+            else max(0, recv_buffer - self._unread),
+            False, self.sim.now, -1, size, self.meta_id), size)
         self.bytes_sent += size
         self._segments[seq] = [size, False, self.sim.now, False, False]
         self._seg_order.append(seq)
@@ -515,20 +514,20 @@ class TcpConnection:
         threshold = self._highest_sacked - 3 * self.mss
         srtt = self.rtt.srtt
         retx_grace = srtt if srtt is not None else self.rtt.min_ns
+        now = self.sim.now
         newly_lost = False
         for seq in order:
             entry = segments[seq]
             if seq + entry[0] > threshold:
                 break
             if (not entry[3] and not entry[4]
-                    and (not entry[1]
-                         or self.sim.now - entry[2] > retx_grace)):
+                    and (not entry[1] or now - entry[2] > retx_grace)):
                 self._mark_lost(seq)
                 newly_lost = True
         if newly_lost and not self._in_recovery:
             self._in_recovery = True
             self._recover = self.snd_nxt
-            self.ssthresh = max(self.flight_size // 2, 2 * self.mss)
+            self.ssthresh = max(self._pipe // 2, 2 * self.mss)
             self.cwnd = self.ssthresh + 3 * self.mss
 
     # ------------------------------------------------------------------
@@ -598,21 +597,55 @@ class TcpConnection:
 
     def _handle_data(self, packet: Packet, header: TcpHeader) -> None:
         seq, size = header.seq, header.payload_len
-        if seq == self.rcv_nxt:
-            self.rcv_nxt += size
+        rcv_nxt = self.rcv_nxt
+        if seq == rcv_nxt:
+            self.rcv_nxt = rcv_nxt + size
             self._deliver(size)
-            self._drain_ooo()
-        elif seq > self.rcv_nxt:
-            window = self._advertised_window()
-            if seq + size - self.rcv_nxt <= max(window, size):
-                self._ooo[seq] = max(self._ooo.get(seq, 0), size)
+            if self._ooo:
+                self._drain_ooo()
+        elif seq > rcv_nxt:
+            recv_buffer = self.recv_buffer
+            window = (UNLIMITED_WINDOW if recv_buffer is None
+                      else max(0, recv_buffer - self._unread))
+            if seq + size - rcv_nxt <= max(window, size):
+                self._buffer_ooo(seq, size)
         # else: old duplicate, just re-ACK.
-        self._send_ack(ece=packet.marked, ts_echo=header.ts)
+        self._send_ack(packet.ecn == ECT_CE, header.ts)
+
+    def _buffer_ooo(self, seq: int, size: int) -> None:
+        """Hold an out-of-order segment and merge it into the SACK runs."""
+        ooo = self._ooo
+        if ooo.get(seq, 0) >= size:
+            return  # a duplicate: already held
+        ooo[seq] = size
+        end = seq + size
+        runs = self._sack_runs
+        # The first run that starts at or after ``seq``, or the one before
+        # it when that one reaches ``seq`` (touching runs merge).
+        first = bisect_left(runs, (seq,))
+        if first and runs[first - 1][1] >= seq:
+            first -= 1
+            seq = runs[first][0]
+        last = first
+        count = len(runs)
+        while last < count and runs[last][0] <= end:
+            if runs[last][1] > end:
+                end = runs[last][1]
+            last += 1
+        runs[first:last] = [(seq, end)]
 
     def _drain_ooo(self) -> None:
-        while self.rcv_nxt in self._ooo:
-            size = self._ooo.pop(self.rcv_nxt)
-            self.rcv_nxt += size
+        """Deliver the held segments the stream now reaches, trimming the
+        SACK runs to what lies above ``rcv_nxt`` before each delivery."""
+        ooo = self._ooo
+        runs = self._sack_runs
+        while self.rcv_nxt in ooo:
+            size = ooo.pop(self.rcv_nxt)
+            rcv_nxt = self.rcv_nxt = self.rcv_nxt + size
+            while runs and runs[0][1] <= rcv_nxt:
+                del runs[0]
+            if runs and runs[0][0] < rcv_nxt:
+                runs[0] = (rcv_nxt, runs[0][1])
             self._deliver(size)
 
     def _deliver(self, size: int) -> None:
@@ -670,7 +703,7 @@ class TcpConnection:
             self._try_send()
             if self.on_send_progress is not None:
                 self.on_send_progress(newly_acked)
-        elif (header.ack == self.snd_una and self.flight_size > 0
+        elif (header.ack == self.snd_una and self._pipe > 0
               and header.payload_len == 0 and not header.flags & FLAG_FIN):
             self._dupacks += 1
             self._dctcp_on_ack(0, header.ece)
@@ -682,7 +715,8 @@ class TcpConnection:
                 self._try_send()
         else:
             self._try_send()
-        self._maybe_finish_close()
+        if self._fin_sent:
+            self._maybe_finish_close()
 
     def _ack_segments(self, ack: int) -> None:
         acked = 0

@@ -14,6 +14,8 @@ from repro.analysis import (EventTrace, check_replay, find_divergence,
                             trace_run)
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
+from repro.experiments.fig6_loadbalance import Fig6Config, run_fig6
+from repro.experiments.fig7_isolation import Fig7Config, run_fig7
 from repro.experiments.fig8_failover import Fig8Config, run_fig8
 from repro.sim import Simulator, microseconds
 
@@ -182,10 +184,19 @@ def _chaos_config():
                       duration_ns=microseconds(600))
 
 
+def _fig6(system):
+    """A Fig-6 run with 300 us of message arrivals: the workload stops
+    offering messages 1 ms before the end of the run."""
+    return lambda sim: run_fig6(
+        system, Fig6Config(duration_ns=microseconds(1300)), sim=sim)
+
+
 #: name -> (setup, trace length, trace digest), recorded with the ID
 #: streams restarted (the autouse fixture in ``tests/conftest.py``).  The
 #: fig8 runs use the compressed chaos timeline (link flap, offload
 #: migration, corruption window), so the fault paths are pinned too.
+#: The fig6 and fig7 runs pin the load balancers and the DropTail and
+#: fair-share hops that the perfbench workloads run through.
 PINNED_TRACES = {
     "fig2-200us": (
         lambda sim: run_fig2(Fig2Config(duration_ns=microseconds(200)),
@@ -201,6 +212,18 @@ PINNED_TRACES = {
                              Fig5Config(duration_ns=microseconds(300)),
                              sim=sim),
         28571, "6385db0cc3e7527384f4fe8746316c8f"),
+    "fig6-ecmp-1300us": (
+        _fig6("ecmp"), 35404, "79f707bc9553e08b714b6a55f61806eb"),
+    "fig6-spray-1300us": (
+        _fig6("spray"), 62836, "4b5737b92d005e830ac5cb3ab2270364"),
+    "fig6-mtp_lb-1300us": (
+        _fig6("mtp_lb"), 34776, "90fdb084b37323cbe17c8eb2766bfd4c"),
+    "fig7-fair_share-300us": (
+        lambda sim: run_fig7("fair_share",
+                             Fig7Config(duration_ns=microseconds(300),
+                                        warmup_ns=microseconds(100)),
+                             sim=sim),
+        8717, "42cfcc7b0b0938c777da036cfbc758ec"),
     "fig8-chaos-dctcp-600us": (
         lambda sim: run_fig8("dctcp", _chaos_config(), sim=sim),
         14769, "436d464e519790f59e80c64b536d8cfa"),

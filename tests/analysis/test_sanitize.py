@@ -155,11 +155,16 @@ class LeakyQueue(DropTailQueue):
         super().__init__(capacity)
         self._admitted = 0
 
-    def _admit(self, packet, now):
+    def enqueue(self, packet, now):
+        # DropTailQueue admits in enqueue() itself, so the leak goes here.
         self._admitted += 1
         if self._admitted % 2 == 0:
-            return True  # claim success, keep nothing: the packet leaks
-        return super()._admit(packet, now)
+            # Count the packet as admitted, keep nothing: the packet leaks.
+            self.bytes_offered += packet.size
+            self.packets_enqueued += 1
+            self.bytes_queued += packet.size
+            return True
+        return super().enqueue(packet, now)
 
 
 class TestPacketLedger:

@@ -5,6 +5,12 @@ from repro.transport import ConnectionCallbacks
 from tests.util import TransferApp, tcp_pair
 
 
+def hold(receiver, ooo):
+    """Buffer ``{seq: length}`` out-of-order segments at ``receiver``."""
+    for seq, length in ooo.items():
+        receiver._buffer_ooo(seq, length)
+
+
 class TestSackRanges:
     def build_receiver(self, sim):
         net, a, b, stack_a, stack_b = tcp_pair(sim)
@@ -25,18 +31,18 @@ class TestSackRanges:
 
     def test_single_hole(self, sim):
         receiver = self.build_receiver(sim)
-        receiver._ooo = {100: 50, 150: 50}  # contiguous OOO run
+        hold(receiver, {100: 50, 150: 50})  # contiguous OOO run
         assert receiver._sack_ranges() == [(100, 200)]
 
     def test_multiple_runs(self, sim):
         receiver = self.build_receiver(sim)
-        receiver._ooo = {100: 50, 300: 50, 400: 50}
+        hold(receiver, {100: 50, 300: 50, 400: 50})
         assert receiver._sack_ranges() == [(100, 150), (300, 350),
                                            (400, 450)]
 
     def test_block_cap(self, sim):
         receiver = self.build_receiver(sim)
-        receiver._ooo = {i * 100: 10 for i in range(10)}
+        hold(receiver, {i * 100: 10 for i in range(10)})
         assert len(receiver._sack_ranges()) == 4
 
 

@@ -202,7 +202,7 @@ kernel_operations = st.lists(
 def live_heap_entries(sim):
     """Brute-force count: fast entries plus uncancelled handle entries."""
     return sum(1 for entry in sim._queue
-               if len(entry) == 4 or not entry[2].cancelled)
+               if entry[2] is not None or not entry[3].cancelled)
 
 
 @given(kernel_operations)

@@ -1,9 +1,15 @@
 """Property tests: queue disciplines conserve packets and enforce policy."""
 
+import random
+from collections import deque
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import (DropTailQueue, DRRQueue, FairShareQueue, Packet)
+from repro.net import (ECT_CAPABLE, ECT_CE, ECT_NOT_CAPABLE, DropTailQueue,
+                       DRRQueue, FairShareQueue, Packet, PriorityQueue,
+                       RedQueue)
 
 entities = st.sampled_from(["a", "b", "c"])
 packet_sizes = st.integers(min_value=64, max_value=1500)
@@ -114,3 +120,98 @@ def test_drr_service_is_fair_in_bytes(arrivals):
         packet = queue.dequeue(0)
         served[packet.entity] += packet.size
     assert abs(served["a"] - served["b"]) <= 2 * 1500
+
+
+class PriorityHeader:
+    """Header stand-in carrying the message priority PriorityQueue reads."""
+
+    def __init__(self, priority):
+        self.priority = priority
+
+
+#: name -> queue factory.  Small capacities and thresholds, so the traces
+#: below fill, drop and mark.
+DISCIPLINES = {
+    "droptail": lambda: DropTailQueue(capacity=12),
+    "droptail-ecn": lambda: DropTailQueue(capacity=12, ecn_threshold=4),
+    "red": lambda: RedQueue(capacity=12, min_threshold=2, max_threshold=8,
+                            max_probability=0.5),
+    "drr": lambda: DRRQueue(per_class_capacity=5, quantum=700,
+                            ecn_threshold=3),
+    "fair_share": lambda: FairShareQueue(capacity=12, ecn_threshold=5),
+    "priority": lambda: PriorityQueue(capacity=12, n_bands=4),
+}
+
+
+class DropTailModel:
+    """Reference drop-tail FIFO: drop when full, mark ECN-capable packets
+    that find ``ecn_threshold`` or more packets already queued."""
+
+    def __init__(self, capacity, ecn_threshold):
+        self.capacity = capacity
+        self.ecn_threshold = ecn_threshold
+        self.fifo = deque()
+        self.dropped = 0
+        self.marked = 0
+
+    def offer(self, packet, ecn):
+        if len(self.fifo) >= self.capacity:
+            self.dropped += 1
+            return False
+        if (self.ecn_threshold is not None
+                and len(self.fifo) >= self.ecn_threshold
+                and ecn != ECT_NOT_CAPABLE):
+            self.marked += 1
+        self.fifo.append(packet)
+        return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+def test_counters_conserve_packets_and_bytes(name, seed):
+    """A seeded random enqueue/dequeue trace keeps every counter
+    invariant after each step, and DropTail matches its reference model."""
+    rng = random.Random(seed)
+    queue = DISCIPLINES[name]()
+    model = None
+    if isinstance(queue, DropTailQueue):
+        model = DropTailModel(queue.capacity, queue.ecn_threshold)
+    offered = offered_bytes = dequeued_bytes = 0
+    for _ in range(600):
+        # Bursts of arrivals against a slower drain, so the queue fills.
+        if rng.random() < 0.6:
+            ecn = rng.choice((ECT_NOT_CAPABLE, ECT_CAPABLE, ECT_CE))
+            packet = Packet(1, 2, rng.randint(40, 1500), "t",
+                            header=PriorityHeader(rng.randrange(6)),
+                            ecn=ecn, entity=rng.choice("abc"))
+            offered += 1
+            offered_bytes += packet.size
+            accepted = queue.enqueue(packet, 0)
+            if model is not None:
+                assert accepted == model.offer(packet, ecn)
+                if accepted and model.ecn_threshold is not None:
+                    marked = len(model.fifo) > model.ecn_threshold
+                    assert packet.ecn == (
+                        ECT_CE if marked and ecn != ECT_NOT_CAPABLE
+                        else ecn)
+        else:
+            packet = queue.dequeue(0)
+            if packet is not None:
+                dequeued_bytes += packet.size
+            if model is not None:
+                expected = model.fifo.popleft() if model.fifo else None
+                assert packet is expected
+        assert queue.packets_enqueued + queue.packets_dropped == offered
+        assert queue.bytes_offered == offered_bytes
+        assert (queue.bytes_queued + dequeued_bytes + queue.bytes_dropped
+                == offered_bytes)
+        assert (queue.packets_enqueued
+                == queue.packets_dequeued + len(queue))
+        assert queue.bytes_queued == sum(
+            packet.size for packet in queue.resident())
+    assert queue.packets_dropped > 0
+    if model is not None:
+        assert queue.packets_dropped == model.dropped
+        assert queue.ecn_marked == model.marked
+        if model.ecn_threshold is not None:
+            assert model.marked > 0

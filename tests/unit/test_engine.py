@@ -217,7 +217,9 @@ class TestCancellationBookkeeping:
         # Cancel enough that cancelled entries dominate the heap.
         for handle in handles[: total - 10]:
             handle.cancel()
-        sim.peek_time()  # compacts: cancelled entries dominate
+        # The cancels compacted the heap; peek_time pops the cancelled
+        # entries left at its head.
+        sim.peek_time()
         assert sim.queued_entries() == 10
         assert sim.pending_events() == 10
 
@@ -234,6 +236,20 @@ class TestCancellationBookkeeping:
         sim.peek_time()
         sim.run()
         assert order == keep
+
+    def test_cancel_compacts_without_a_run(self, sim):
+        total = 4 * COMPACT_MIN_CANCELLED
+        handles = [sim.schedule(10 + index, lambda: None)
+                   for index in range(total)]
+        # Keep the earliest events live, so no head pop can shed the
+        # cancelled ones: only compaction can.
+        for handle in handles[10:]:
+            handle.cancel()
+            junk = sim.queued_entries() - sim.pending_events()
+            assert junk <= max(COMPACT_MIN_CANCELLED,
+                               sim.queued_entries() // 2)
+        assert sim.pending_events() == 10
+        assert sim.queued_entries() < total - COMPACT_MIN_CANCELLED
 
     def test_no_compaction_below_threshold(self, sim):
         handles = [sim.schedule(10 + index, lambda: None)
@@ -353,8 +369,8 @@ class TestTimerEdgeCases:
             timer.restart(1_000_000)
         assert sim.pending_events() == 1
         # Compaction keeps the dead weight bounded: after peek_time()
-        # (which compacts when dominated) cancelled junk is less than
-        # half the heap.
+        # (and the compaction a cancel triggers once cancelled entries
+        # dominate) cancelled junk is less than half the heap.
         sim.peek_time()
         junk = sim.queued_entries() - sim.pending_events()
         assert junk <= max(COMPACT_MIN_CANCELLED,
