@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 from ..core.endpoint import DeliveredMessage, MtpEndpoint, MtpStack
 from ..net.node import Host
 from ..sim.engine import Simulator
-from ..transport.base import ConnectionCallbacks
+from ..transport.base import ConnectionCallbacks, Runs
 from ..transport.tcp import TcpConnection, TcpStack
 
 __all__ = ["TcpMtpGateway", "BridgeChunk", "GATEWAY_MTP_PORT"]
@@ -52,28 +52,6 @@ class BridgeChunk:
                 f"@{self.offset}+{self.length}{' FIN' if self.fin else ''}>")
 
 
-class _BridgedStream:
-    """Reorders arriving chunks of one direction into a TCP connection."""
-
-    def __init__(self) -> None:
-        self.next_offset = 0
-        self.pending: Dict[int, Tuple[int, bool]] = {}  # offset -> (len, fin)
-        self.fin_delivered = False
-
-    def add(self, chunk: BridgeChunk) -> Tuple[int, bool]:
-        """Returns (in-order bytes released now, fin reached)."""
-        self.pending[chunk.offset] = (chunk.length, chunk.fin)
-        released = 0
-        fin = False
-        while self.next_offset in self.pending:
-            length, chunk_fin = self.pending.pop(self.next_offset)
-            self.next_offset += length
-            released += length
-            if chunk_fin:
-                fin = True
-        return released, fin
-
-
 class _Session:
     """One bridged TCP connection: local leg + chunk reassembly."""
 
@@ -82,7 +60,12 @@ class _Session:
         self.peer_address = peer_address
         self.conn: Optional[TcpConnection] = None
         self.send_offset = 0        # next offset we emit toward the peer
-        self.incoming = _BridgedStream()
+        # Reassembly of the peer's chunks: offsets below ``next_offset``
+        # went into the local leg; ``held`` files the ones above it.  The
+        # FIN chunk covers the one offset ``fin_offset``.
+        self.next_offset = 0
+        self.held = Runs()
+        self.fin_offset: Optional[int] = None
         self.early_chunks: list = []  # chunks before the local leg is up
         self.bytes_bridged = 0
 
@@ -177,14 +160,20 @@ class TcpMtpGateway(Host):
         self._deliver(session, chunk)
 
     def _deliver(self, session: _Session, chunk: BridgeChunk) -> None:
-        released, fin = session.incoming.add(chunk)
-        payload = released - (1 if fin else 0)
-        if payload > 0 and session.conn is not None:
+        """Feed one chunk to the established local leg, in stream order."""
+        if chunk.fin:
+            session.fin_offset = chunk.offset
+        session.held.add(chunk.offset, chunk.offset + chunk.length)
+        start = session.next_offset
+        end = session.next_offset = session.held.advance(start)
+        # In-order delivery crosses the FIN offset at most once.
+        fin = (session.fin_offset is not None
+               and start <= session.fin_offset < end)
+        payload = end - start - fin
+        if payload > 0:
             session.conn.send(payload)
             session.bytes_bridged += payload
-        if fin and session.conn is not None \
-                and not session.incoming.fin_delivered:
-            session.incoming.fin_delivered = True
+        if fin:
             session.conn.close()
 
     def _open_upstream(self, session: _Session) -> None:

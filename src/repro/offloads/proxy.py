@@ -53,9 +53,7 @@ class ProxySession:
     def on_client_data(self, conn: TcpConnection, nbytes: int) -> None:
         """Bytes arrived from the client."""
         if self.proxy.buffer_limit is None:
-            # Unlimited mode: swallow everything immediately.
-            if conn.unread_bytes:
-                conn.consume(conn.unread_bytes)
+            # Unlimited mode: nothing waits unread, relay it all at once.
             self._relay(nbytes)
         else:
             self._pump()
@@ -134,8 +132,7 @@ class TcpProxy(Host):
         self.sessions: List[ProxySession] = []
         self.stack = TcpStack(self)
         self.stack.listen(listen_port, self._accept,
-                          recv_buffer=buffer_limit,
-                          auto_drain=buffer_limit is None)
+                          recv_buffer=buffer_limit)
 
     def set_server(self, server_address: int) -> None:
         """Configure the upstream server (after the topology is built)."""

@@ -9,13 +9,14 @@ carry an opaque payload object for in-network offloads to inspect.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from bisect import bisect_left
+from typing import Callable, List, Optional, Tuple
 
 from ..net.node import Host
 from ..net.packet import Packet
 from ..sim.engine import Simulator
 
-__all__ = ["TransportStack", "ConnectionCallbacks", "RtoEstimator"]
+__all__ = ["TransportStack", "ConnectionCallbacks", "RtoEstimator", "Runs"]
 
 
 class ConnectionCallbacks:
@@ -105,3 +106,54 @@ class RtoEstimator:
     def __repr__(self) -> str:
         return (f"<RtoEstimator srtt={self.srtt} rttvar={self.rttvar} "
                 f"backoff={self.backoff} rto={self.rto}>")
+
+
+class Runs:
+    """Received data that an in-order point has not reached yet.
+
+    ``spans`` is a sorted list of disjoint, half-open ``(start, end)``
+    tuples with touching spans merged, so it is also the list of blocks
+    a receiver reports as received (TCP SACK blocks, QUIC ACK ranges).
+    """
+
+    __slots__ = ("spans",)
+
+    def __init__(self) -> None:
+        self.spans: List[Tuple[int, int]] = []
+
+    def add(self, start: int, end: int) -> None:
+        """File ``[start, end)``, merging it with the spans it touches."""
+        if end <= start:
+            return
+        spans = self.spans
+        # The first span that starts at or after ``start``, or the one
+        # before it when that one reaches ``start``.
+        first = bisect_left(spans, (start,))
+        if first and spans[first - 1][1] >= start:
+            first -= 1
+            start = spans[first][0]
+        last = first
+        count = len(spans)
+        while last < count and spans[last][0] <= end:
+            if spans[last][1] > end:
+                end = spans[last][1]
+            last += 1
+        spans[first:last] = [(start, end)]
+
+    def advance(self, point: int) -> int:
+        """Where contiguous data from ``point`` ends; drops the spans it
+        absorbs, which are all those starting at or below that end."""
+        spans = self.spans
+        absorbed = 0
+        for start, end in spans:
+            if start > point:
+                break
+            if end > point:
+                point = end
+            absorbed += 1
+        if absorbed:
+            del spans[:absorbed]
+        return point
+
+    def __repr__(self) -> str:
+        return f"<Runs {self.spans}>"

@@ -15,7 +15,8 @@ Modelling notes:
   receiver when subflow bytes arrive.  Our TCP substrate does not carry
   payload bytes — only counts — so "reading the mapping" stands in for
   parsing the DSS option; arrival order and in-order meta-delivery are
-  still modelled faithfully via interval tracking.
+  still modelled faithfully: meta bytes that arrive ahead of the
+  in-order point are held as :class:`~repro.transport.base.Runs`.
 * Scheduling: chunks go to the established subflow with the most
   congestion-window headroom (a min-RTT-style scheduler simplified to
   headroom, which is what matters at these timescales).
@@ -31,7 +32,7 @@ from ..net.node import Host
 from ..net.packet import Packet
 from ..sim.engine import Simulator
 from ..sim.units import microseconds
-from .base import ConnectionCallbacks, TransportStack
+from .base import ConnectionCallbacks, Runs, TransportStack
 from .tcp import TcpConnection, TcpHeader, TcpStack, FLAG_ACK, FLAG_SYN
 
 __all__ = ["MptcpStack", "MptcpConnection"]
@@ -45,32 +46,6 @@ CHUNK_BYTES = 4 * 1460
 #: bytes committed to a subflow cannot be reinjected elsewhere, so a
 #: collapsing subflow would head-of-line block the meta-stream.
 MAX_SUBFLOW_BACKLOG = 2 * CHUNK_BYTES
-
-
-class _IntervalSet:
-    """Tracks received meta-byte intervals and the in-order prefix."""
-
-    def __init__(self) -> None:
-        self._intervals: List[List[int]] = []  # sorted disjoint [start, end)
-        self.prefix = 0  # contiguous bytes from offset 0
-
-    def add(self, start: int, end: int) -> int:
-        """Insert an interval; returns newly in-order bytes."""
-        if end <= start:
-            return 0
-        self._intervals.append([start, end])
-        self._intervals.sort()
-        merged: List[List[int]] = []
-        for interval in self._intervals:
-            if merged and interval[0] <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], interval[1])
-            else:
-                merged.append(interval)
-        self._intervals = merged
-        old_prefix = self.prefix
-        if merged and merged[0][0] == 0:
-            self.prefix = merged[0][1]
-        return self.prefix - old_prefix
 
 
 class MptcpConnection:
@@ -95,7 +70,8 @@ class MptcpConnection:
         self._mappings: Dict[TcpConnection, deque] = {}
         self._close_pending = False
         # Receiver side.
-        self._received = _IntervalSet()
+        #: Meta bytes received above ``bytes_delivered``.
+        self._received = Runs()
         self.bytes_delivered = 0  # in-order meta bytes handed to the app
         self.bytes_received_any_order = 0
         self.bytes_sent = 0
@@ -180,18 +156,21 @@ class MptcpConnection:
             return
         remaining = nbytes
         queue = peer._mappings[mirror]
+        received = self._received
         while remaining > 0 and queue:
             offset, length = queue[0]
             take = min(length, remaining)
-            newly_ordered = self._received.add(offset, offset + take)
+            received.add(offset, offset + take)
             self.bytes_received_any_order += take
             remaining -= take
             if take == length:
                 queue.popleft()
             else:
                 queue[0] = (offset + take, length - take)
-            if newly_ordered:
-                self.bytes_delivered += newly_ordered
+            end = received.advance(self.bytes_delivered)
+            if end > self.bytes_delivered:
+                newly_ordered = end - self.bytes_delivered
+                self.bytes_delivered = end
                 self.callbacks.on_data(self, newly_ordered)
 
     def _mirror_subflow(self, remote_subflow: TcpConnection

@@ -26,7 +26,7 @@ from ..net.node import Host
 from ..net.packet import DEFAULT_HEADER_BYTES, ECT_CAPABLE, Packet
 from ..sim.engine import Timer
 from ..sim.units import microseconds
-from .base import ConnectionCallbacks, RtoEstimator, TransportStack
+from .base import ConnectionCallbacks, RtoEstimator, Runs, TransportStack
 
 __all__ = ["QuicStack", "QuicConnection", "QuicStream"]
 
@@ -57,7 +57,7 @@ class QuicHeader:
         self.packet_number = packet_number
         self.is_initial = is_initial
         self.is_initial_ack = is_initial_ack
-        #: ACK frame: list of (first, last) inclusive packet-number ranges.
+        #: ACK frame: half-open ``(first, end)`` packet-number ranges.
         self.ack_ranges: List[Tuple[int, int]] = []
         #: Stream frames: (stream_id, offset, length, fin).
         self.stream_frames: List[Tuple[int, int, int, bool]] = []
@@ -75,28 +75,26 @@ class QuicStream:
 
     def __init__(self, stream_id: int):
         self.stream_id = stream_id
-        self.next_offset = 0
-        self.pending: Dict[int, Tuple[int, bool]] = {}
+        #: Bytes delivered in order, which is also the next offset due.
         self.delivered = 0
-        self.fin_seen = False
-        self.finished = False
+        #: The stream's length, once its FIN frame has arrived.
+        self.fin_offset: Optional[int] = None
+        self._held = Runs()
+
+    @property
+    def finished(self) -> bool:
+        """True once every byte up to the FIN has been delivered."""
+        return self.delivered == self.fin_offset
 
     def add_frame(self, offset: int, length: int, fin: bool) -> int:
         """Insert a frame; returns newly in-order bytes."""
-        if offset < self.next_offset:
-            return 0  # duplicate/overlap of delivered data
-        self.pending.setdefault(offset, (length, fin))
-        released = 0
-        while self.next_offset in self.pending:
-            length, chunk_fin = self.pending.pop(self.next_offset)
-            self.next_offset += length
-            released += length
-            if chunk_fin:
-                self.fin_seen = True
-        self.delivered += released
-        if self.fin_seen and not self.pending:
-            self.finished = True
-        return released
+        if fin:
+            self.fin_offset = offset + length
+        held = self._held
+        held.add(offset, offset + length)
+        start = self.delivered
+        self.delivered = held.advance(start)
+        return self.delivered - start
 
 
 class QuicStack(TransportStack):
@@ -186,8 +184,8 @@ class QuicConnection:
 
         # Receive side.
         self.streams: Dict[int, QuicStream] = {}
-        self._recv_largest = -1
-        self._recv_ranges: List[List[int]] = []  # merged [first, last]
+        #: Packet numbers received, as ``[pn, pn + 1)`` spans.
+        self._received = Runs()
         self._ack_pending = False
 
         # Stats / hooks.
@@ -281,7 +279,7 @@ class QuicConnection:
         pn = self._take_pn()
         header = QuicHeader(self.connection_id, pn, ts=self.sim.now)
         header.stream_frames = [(stream_id, offset, size, fin)]
-        header.ack_ranges = [tuple(r) for r in self._recv_ranges[-4:]]
+        header.ack_ranges = self._received.spans[-4:]
         wire = DEFAULT_HEADER_BYTES + size
         self._sent[pn] = {"frames": header.stream_frames, "size": size,
                           "ts": self.sim.now}
@@ -292,7 +290,7 @@ class QuicConnection:
     def _send_ack(self, ts_echo: int) -> None:
         header = QuicHeader(self.connection_id, self._take_pn(),
                             ts=self.sim.now, ts_echo=ts_echo)
-        header.ack_ranges = [tuple(r) for r in self._recv_ranges[-8:]]
+        header.ack_ranges = self._received.spans[-8:]
         self._transmit(header, DEFAULT_HEADER_BYTES)
 
     # -- receiving ------------------------------------------------------------
@@ -321,31 +319,10 @@ class QuicConnection:
         if header.ack_ranges:
             self._handle_acks(header)
         if header.stream_frames:
-            self._record_received(header.packet_number)
+            pn = header.packet_number
+            self._received.add(pn, pn + 1)
             self._deliver_frames(header)
             self._send_ack(header.ts)
-
-    def _record_received(self, pn: int) -> None:
-        self._recv_largest = max(self._recv_largest, pn)
-        extended = False
-        for span in self._recv_ranges:
-            if span[0] - 1 <= pn <= span[1] + 1:
-                span[0] = min(span[0], pn)
-                span[1] = max(span[1], pn)
-                extended = True
-                break
-        if not extended:
-            self._recv_ranges.append([pn, pn])
-        # Re-merge: extending a span can make it adjacent to its neighbour
-        # (receiving 2 with [1,1] and [3,3] present must yield [1,3]).
-        self._recv_ranges.sort()
-        merged = [self._recv_ranges[0]]
-        for span in self._recv_ranges[1:]:
-            if span[0] <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], span[1])
-            else:
-                merged.append(span)
-        self._recv_ranges = merged
 
     def _deliver_frames(self, header: QuicHeader) -> None:
         for stream_id, offset, size, fin in header.stream_frames:
@@ -361,18 +338,19 @@ class QuicConnection:
                 self.callbacks.on_data(self, released)
                 if self.on_stream_data is not None:
                     self.on_stream_data(self, stream, released)
-            if stream.finished and self.on_stream_finished is not None:
-                stream.finished = False  # fire the hook exactly once
-                self.on_stream_finished(self, stream)
+                # Only the delivery that reaches the FIN finishes a stream,
+                # so the hook fires exactly once.
+                if stream.finished and self.on_stream_finished is not None:
+                    self.on_stream_finished(self, stream)
 
     # -- acknowledgement & loss ------------------------------------------------
 
     def _handle_acks(self, header: QuicHeader) -> None:
         newly_acked_bytes = 0
         newly_acked_pns = []
-        for first, last in header.ack_ranges:
+        for first, end in header.ack_ranges:
             for pn in list(self._sent):
-                if first <= pn <= last:
+                if first <= pn < end:
                     info = self._sent.pop(pn)
                     self._pipe -= info["size"]
                     newly_acked_bytes += info["size"]

@@ -24,7 +24,7 @@ from ..net.packet import (DEFAULT_HEADER_BYTES, ECT_CAPABLE, ECT_CE,
                           ECT_NOT_CAPABLE, Packet)
 from ..sim.engine import Timer
 from ..sim.units import microseconds
-from .base import ConnectionCallbacks, RtoEstimator, TransportStack
+from .base import ConnectionCallbacks, RtoEstimator, Runs, TransportStack
 
 __all__ = ["TcpHeader", "TcpStack", "TcpConnection",
            "FLAG_SYN", "FLAG_ACK", "FLAG_FIN"]
@@ -159,9 +159,9 @@ class TcpConnection:
     ``"swift"`` (delay-based: a target end-to-end delay with AIMD around
     it, after Kumar et al., SIGCOMM'20).
     ``recv_buffer`` bounds the receive window in bytes (None = unlimited);
-    with ``auto_drain=False`` the application must call :meth:`consume` to
-    open the window back up — this is how the Figure-2 proxy applies
-    backpressure.
+    a bounded buffer holds delivered bytes until the application calls
+    :meth:`consume` to open the window back up — this is how the Figure-2
+    proxy applies backpressure.
     """
 
     def __init__(self, stack: TcpStack, local_port: int, remote_address: int,
@@ -169,7 +169,6 @@ class TcpConnection:
                  variant: str = "reno", mss: int = 1460,
                  min_rto_ns: int = microseconds(200),
                  recv_buffer: Optional[int] = None,
-                 auto_drain: bool = True,
                  swift_target_delay_ns: Optional[int] = None,
                  max_retries: int = 10,
                  max_rto_ns: int = microseconds(500_000),
@@ -191,8 +190,11 @@ class TcpConnection:
         #: Consecutive data RTOs with no forward progress before the
         #: connection aborts and surfaces ``on_error`` to the app.
         self.max_retries = max_retries
-        self.recv_buffer = recv_buffer
-        self.auto_drain = auto_drain
+        #: Receive buffer in bytes; an unbounded one is held as
+        #: ``UNLIMITED_WINDOW`` and never counts unread bytes, so the
+        #: advertised window is ``max(0, recv_buffer - _unread)`` either way.
+        self.recv_buffer = (UNLIMITED_WINDOW if recv_buffer is None
+                            else recv_buffer)
         self.entity = entity
         self.meta_id = meta_id
         #: Every segment of the connection carries this ECN codepoint and
@@ -238,13 +240,10 @@ class TcpConnection:
 
         # Receiver state.
         self.rcv_nxt = 0
-        self._ooo: Dict[int, int] = {}  # seq -> len
-        #: The out-of-order data as sorted, disjoint ``(start, end)`` runs
-        #: (touching runs merged), kept up to date as segments arrive and
-        #: drain, so an ACK's SACK blocks are a slice of it.
-        self._sack_runs: List[Tuple[int, int]] = []
+        #: Out-of-order data above ``rcv_nxt``; an ACK's SACK blocks are
+        #: the first ``MAX_SACK_BLOCKS`` of its spans.
+        self._ooo = Runs()
         self._unread = 0
-        self._last_advertised = None  # type: Optional[int]
         self._peer_fin = False
 
         # DCTCP state.
@@ -312,8 +311,8 @@ class TcpConnection:
     def consume(self, nbytes: int) -> None:
         """Application reads ``nbytes`` from the receive buffer.
 
-        Only meaningful with ``auto_drain=False``; opening the window may
-        trigger a window-update ACK so a stalled sender resumes.
+        Only meaningful with a bounded ``recv_buffer``; opening the window
+        may trigger a window-update ACK so a stalled sender resumes.
         """
         if nbytes < 0 or nbytes > self._unread:
             raise ValueError(
@@ -358,8 +357,6 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _advertised_window(self) -> int:
-        if self.recv_buffer is None:
-            return UNLIMITED_WINDOW
         return max(0, self.recv_buffer - self._unread)
 
     # Headers and packets are built with positional arguments: keyword
@@ -382,26 +379,15 @@ class TcpConnection:
         self._transmit(self._make_header(flags, seq), 0)
 
     def _send_ack(self, ece: bool = False, ts_echo: int = -1) -> None:
-        recv_buffer = self.recv_buffer
         header = TcpHeader(
             self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt,
-            FLAG_ACK,
-            UNLIMITED_WINDOW if recv_buffer is None
-            else max(0, recv_buffer - self._unread),
+            FLAG_ACK, max(0, self.recv_buffer - self._unread),
             ece, self.sim.now, ts_echo, 0, self.meta_id)
-        header.sack_blocks = self._sack_ranges()
+        # SACK blocks: runs of out-of-order data, lowest first (RFC 2018).
+        header.sack_blocks = self._ooo.spans[:MAX_SACK_BLOCKS]
         # Pure ACKs are never ECN-marked targets of interest; still carry
         # the connection's codepoint so reverse-path marking is possible.
         self._transmit(header, 0)
-
-    def _sack_ranges(self, max_blocks: int = MAX_SACK_BLOCKS
-                     ) -> List[Tuple[int, int]]:
-        """Contiguous runs of out-of-order data, lowest first (RFC 2018).
-
-        O(``max_blocks``): the runs are kept merged as data arrives (see
-        :meth:`_buffer_ooo`), so this is a slice.
-        """
-        return self._sack_runs[:max_blocks]
 
     def _try_send(self) -> None:
         if self.state != "established":
@@ -442,11 +428,9 @@ class TcpConnection:
                 self._rto_timer.restart(self.rtt.rto)
 
     def _send_data_segment(self, seq: int, size: int) -> None:
-        recv_buffer = self.recv_buffer
         self._transmit(TcpHeader(
             self.local_port, self.remote_port, seq, self.rcv_nxt, FLAG_ACK,
-            UNLIMITED_WINDOW if recv_buffer is None
-            else max(0, recv_buffer - self._unread),
+            max(0, self.recv_buffer - self._unread),
             False, self.sim.now, -1, size, self.meta_id), size)
         self.bytes_sent += size
         self._segments[seq] = [size, False, self.sim.now, False, False]
@@ -599,62 +583,20 @@ class TcpConnection:
         seq, size = header.seq, header.payload_len
         rcv_nxt = self.rcv_nxt
         if seq == rcv_nxt:
-            self.rcv_nxt = rcv_nxt + size
-            self._deliver(size)
-            if self._ooo:
-                self._drain_ooo()
-        elif seq > rcv_nxt:
-            recv_buffer = self.recv_buffer
-            window = (UNLIMITED_WINDOW if recv_buffer is None
-                      else max(0, recv_buffer - self._unread))
-            if seq + size - rcv_nxt <= max(window, size):
-                self._buffer_ooo(seq, size)
-        # else: old duplicate, just re-ACK.
+            # The segment may close the hole below held data.
+            end = self.rcv_nxt = self._ooo.advance(seq + size)
+            self._deliver(end - seq)
+        elif (seq > rcv_nxt and seq + size - rcv_nxt
+              <= max(self.recv_buffer - self._unread, size)):
+            self._ooo.add(seq, seq + size)
+        # else: old duplicate (or beyond the window), just re-ACK.
         self._send_ack(packet.ecn == ECT_CE, header.ts)
-
-    def _buffer_ooo(self, seq: int, size: int) -> None:
-        """Hold an out-of-order segment and merge it into the SACK runs."""
-        ooo = self._ooo
-        if ooo.get(seq, 0) >= size:
-            return  # a duplicate: already held
-        ooo[seq] = size
-        end = seq + size
-        runs = self._sack_runs
-        # The first run that starts at or after ``seq``, or the one before
-        # it when that one reaches ``seq`` (touching runs merge).
-        first = bisect_left(runs, (seq,))
-        if first and runs[first - 1][1] >= seq:
-            first -= 1
-            seq = runs[first][0]
-        last = first
-        count = len(runs)
-        while last < count and runs[last][0] <= end:
-            if runs[last][1] > end:
-                end = runs[last][1]
-            last += 1
-        runs[first:last] = [(seq, end)]
-
-    def _drain_ooo(self) -> None:
-        """Deliver the held segments the stream now reaches, trimming the
-        SACK runs to what lies above ``rcv_nxt`` before each delivery."""
-        ooo = self._ooo
-        runs = self._sack_runs
-        while self.rcv_nxt in ooo:
-            size = ooo.pop(self.rcv_nxt)
-            rcv_nxt = self.rcv_nxt = self.rcv_nxt + size
-            while runs and runs[0][1] <= rcv_nxt:
-                del runs[0]
-            if runs and runs[0][0] < rcv_nxt:
-                runs[0] = (rcv_nxt, runs[0][1])
-            self._deliver(size)
 
     def _deliver(self, size: int) -> None:
         self.bytes_delivered += size
-        if self.auto_drain:
-            self.callbacks.on_data(self, size)
-        else:
-            self._unread += size
-            self.callbacks.on_data(self, size)
+        if self.recv_buffer != UNLIMITED_WINDOW:
+            self._unread += size  # held until the app consumes it
+        self.callbacks.on_data(self, size)
 
     def _handle_fin(self, header: TcpHeader) -> None:
         fin_seq = header.seq + header.payload_len
@@ -669,6 +611,9 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _handle_ack(self, header: TcpHeader) -> None:
+        # A changed window makes this a window update, never a duplicate
+        # ACK (RFC 5681 §2, condition (e)).
+        window_unchanged = header.wnd == self.peer_wnd
         self.peer_wnd = header.wnd
         if header.ack > self.peer_ack:
             self.peer_ack = header.ack
@@ -704,7 +649,8 @@ class TcpConnection:
             if self.on_send_progress is not None:
                 self.on_send_progress(newly_acked)
         elif (header.ack == self.snd_una and self._pipe > 0
-              and header.payload_len == 0 and not header.flags & FLAG_FIN):
+              and header.payload_len == 0 and not header.flags & FLAG_FIN
+              and window_unchanged):
             self._dupacks += 1
             self._dctcp_on_ack(0, header.ece)
             if self._dupacks == 3 and not self._in_recovery:

@@ -108,3 +108,51 @@ class TestBridging:
             on_connected=lambda c: c.send(500_000)))
         sim.run(until=milliseconds(150))
         assert received[0] == 500_000
+
+    def test_fin_chunk_before_data(self, sim):
+        """The core delivers the FIN chunk first and a duplicate of it
+        last: every byte still reaches the server, and the gateway closes
+        its connection exactly once."""
+        net, client, server, gw_a, gw_b = bridged_islands(sim)
+        received = [0]
+        server_closed = []
+        TcpStack(server).listen(80, lambda conn: ConnectionCallbacks(
+            on_data=lambda c, n: received.__setitem__(0, received[0] + n),
+            on_close=lambda c: server_closed.append(received[0])))
+        send_message = gw_a.endpoint.send_message
+        held = []
+
+        def fin_first(dst, port, size, payload):
+            if not payload.fin:
+                held.append((dst, port, size, payload))
+                return
+            send_message(dst, port, size, payload=payload)
+
+            def release():
+                for dst_, port_, size_, chunk in held:
+                    send_message(dst_, port_, size_, payload=chunk)
+                send_message(dst, port, size, payload=payload)
+
+            sim.schedule(microseconds(50), release)
+
+        gw_a.endpoint.send_message = fin_first
+        delivered = []
+        closes = []
+        deliver = gw_b._deliver
+
+        def logged(session, chunk):
+            if not delivered:
+                close = session.conn.close
+                session.conn.close = lambda: (closes.append(1), close())
+            delivered.append(chunk.fin)
+            deliver(session, chunk)
+
+        gw_b._deliver = logged
+        TcpStack(client).connect(gw_a.address, 80, ConnectionCallbacks(
+            on_connected=lambda c: (c.send(30_000), c.close())))
+        sim.run(until=milliseconds(100))
+        assert delivered[0] is True and delivered[-1] is True
+        assert len(delivered) > 3
+        assert received[0] == 30_000
+        assert closes == [1]
+        assert server_closed == [30_000]

@@ -5,30 +5,38 @@ import pytest
 from repro.net import (DropTailQueue, EcmpSelector, Network, build_two_path)
 from repro.sim import Simulator, gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, MptcpStack, TcpStack
-from repro.transport.mptcp import _IntervalSet
+from repro.transport.base import Runs
+
+
+def receive(runs, prefix, start, end):
+    """File meta bytes ``[start, end)`` as the meta receiver does; returns
+    the in-order prefix that ``prefix`` advances to."""
+    runs.add(start, end)
+    return runs.advance(prefix)
 
 
 class TestIntervalSet:
     def test_in_order(self):
-        intervals = _IntervalSet()
-        assert intervals.add(0, 10) == 10
-        assert intervals.add(10, 30) == 20
-        assert intervals.prefix == 30
+        runs = Runs()
+        assert receive(runs, 0, 0, 10) == 10
+        assert receive(runs, 10, 10, 30) == 30
+        assert runs.spans == []
 
     def test_out_of_order_held_back(self):
-        intervals = _IntervalSet()
-        assert intervals.add(10, 20) == 0
-        assert intervals.prefix == 0
-        assert intervals.add(0, 10) == 20
+        runs = Runs()
+        assert receive(runs, 0, 10, 20) == 0
+        assert runs.spans == [(10, 20)]
+        assert receive(runs, 0, 0, 10) == 20
 
     def test_overlaps_merge(self):
-        intervals = _IntervalSet()
-        intervals.add(0, 10)
-        intervals.add(5, 15)
-        assert intervals.prefix == 15
+        runs = Runs()
+        prefix = receive(runs, 0, 0, 10)
+        assert receive(runs, prefix, 5, 15) == 15
 
     def test_empty_interval(self):
-        assert _IntervalSet().add(5, 5) == 0
+        runs = Runs()
+        assert receive(runs, 0, 5, 5) == 0
+        assert runs.spans == []
 
 
 def direct_pair(sim, rate=gbps(1), delay=microseconds(5)):

@@ -107,6 +107,43 @@ class TestStreamIndependence:
         assert len(finished) == 10
 
 
+class TestReordering:
+    def test_frame_before_its_predecessor(self, sim):
+        """The second frame of a stream overtakes the first: nothing is
+        delivered until the hole fills, then all of it at once, and the
+        stream finishes exactly once."""
+        net, a, b, stack_a, stack_b = quic_pair(sim)
+        deliveries = []
+        finished = []
+
+        def accept(conn):
+            conn.on_stream_finished = \
+                lambda c, stream: finished.append(stream.delivered)
+            return ConnectionCallbacks(
+                on_data=lambda c, n: deliveries.append(n))
+
+        stack_b.listen(443, accept)
+        held = []
+        send_packet = stack_a.send_packet
+
+        def overtake(packet):
+            frames = packet.header.stream_frames
+            if frames and frames[0][1:3] == (0, 1460):
+                held.append(packet)  # the stream's first frame waits
+                return True
+            sent = send_packet(packet)
+            while held:
+                send_packet(held.pop())
+            return sent
+
+        stack_a.send_packet = overtake
+        stack_a.connect(b.address, 443, ConnectionCallbacks(
+            on_connected=lambda c: c.send_message(2 * 1460)))
+        sim.run(until=milliseconds(5))
+        assert deliveries == [2 * 1460]
+        assert finished == [2 * 1460]
+
+
 class TestLossRecovery:
     def test_recovers_through_tiny_queue(self, sim):
         net, a, b, stack_a, stack_b = quic_pair(sim, rate=mbps(100),

@@ -116,7 +116,7 @@ class TestFlowControl:
         net, a, b, stack_a, stack_b = tcp_pair(sim)
         app = TransferApp(sim)
         stack_b.listen(80, lambda conn: app.receiver_callbacks(),
-                       recv_buffer=8 * 1460, auto_drain=False)
+                       recv_buffer=8 * 1460)
         stack_a.connect(b.address, 80, app.sender_callbacks(1_000_000))
         sim.run(until=milliseconds(50))
         # Receiver never consumed: only about the buffer size arrives.
@@ -130,7 +130,7 @@ class TestFlowControl:
             received_conn.append(conn)
             return ConnectionCallbacks()
 
-        stack_b.listen(80, accept, recv_buffer=8 * 1460, auto_drain=False)
+        stack_b.listen(80, accept, recv_buffer=8 * 1460)
         stack_a.connect(b.address, 80,
                         TransferApp(sim).sender_callbacks(100_000))
         sim.run(until=milliseconds(10))

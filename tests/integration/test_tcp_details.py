@@ -5,7 +5,7 @@ from repro.net.packet import Packet
 from repro.sim import gbps, mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 from repro.transport.tcp import FLAG_ACK, TcpHeader
-from tests.util import TransferApp, tcp_pair
+from tests.util import TransferApp, receive_segment, tcp_pair
 
 
 class TestGoBackN:
@@ -153,7 +153,7 @@ class TestWindowUpdates:
             conns.append(conn)
             return ConnectionCallbacks()
 
-        stack_b.listen(80, accept, recv_buffer=4 * 1460, auto_drain=False)
+        stack_b.listen(80, accept, recv_buffer=4 * 1460)
         stack_a.connect(b.address, 80, ConnectionCallbacks(
             on_connected=lambda c: c.send(60_000)))
         sim.run(until=milliseconds(20))
@@ -165,6 +165,37 @@ class TestWindowUpdates:
         receiver.consume(receiver.unread_bytes)
         sim.run(until=milliseconds(40))
         assert receiver.bytes_delivered > stalled_at
+
+
+class TestDuplicateAcks:
+    def ten_segments_outstanding(self, sim):
+        net, a, b, stack_a, stack_b = tcp_pair(sim)
+        stack_b.listen(80, lambda conn: ConnectionCallbacks())
+        sender = stack_a.connect(b.address, 80)
+        sim.run(until=microseconds(30))
+        assert sender.established
+        sender.send(10 * 1460)
+        # Nothing has been acknowledged yet: the ACKs below arrive first.
+        assert sender.flight_size == sender.cwnd == 14_600
+        return sender
+
+    def test_window_updates_are_not_duplicate_acks(self, sim):
+        """RFC 5681 §2(e): an ACK that changes the advertised window is a
+        window update, so three of them do not start fast recovery."""
+        sender = self.ten_segments_outstanding(sim)
+        for segments in (20, 30, 40):
+            receive_segment(sender, 1, wnd=segments * 1460)
+        assert sender.peer_wnd == 40 * 1460
+        assert not sender._in_recovery
+        assert sender.cwnd == sender.flight_size == 14_600
+
+    def test_three_duplicate_acks_start_fast_recovery(self, sim):
+        sender = self.ten_segments_outstanding(sim)
+        for _ in range(3):
+            receive_segment(sender, 1, wnd=sender.peer_wnd)
+        assert sender._in_recovery
+        assert sender.cwnd == 11_680  # ssthresh 7,300 + 3 MSS
+        assert sender.flight_size == 13_140  # the head is marked lost
 
 
 class TestUnacceptableAck:

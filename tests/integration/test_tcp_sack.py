@@ -2,13 +2,18 @@
 
 from repro.sim import mbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks
-from tests.util import TransferApp, tcp_pair
+from tests.util import TransferApp, receive_segment, tcp_pair
 
 
-def hold(receiver, ooo):
-    """Buffer ``{seq: length}`` out-of-order segments at ``receiver``."""
+def sack_blocks(receiver, ooo):
+    """Deliver ``{seq: length}`` out-of-order segments to ``receiver``;
+    returns the SACK blocks of the ACK it sends next."""
     for seq, length in ooo.items():
-        receiver._buffer_ooo(seq, length)
+        receive_segment(receiver, seq, length)
+    sent = []
+    receiver.stack.send_packet = sent.append
+    receiver._send_ack()
+    return sent[-1].header.sack_blocks
 
 
 class TestSackRanges:
@@ -27,23 +32,24 @@ class TestSackRanges:
 
     def test_no_ooo_no_ranges(self, sim):
         receiver = self.build_receiver(sim)
-        assert receiver._sack_ranges() == []
+        assert sack_blocks(receiver, {}) == []
 
     def test_single_hole(self, sim):
         receiver = self.build_receiver(sim)
-        hold(receiver, {100: 50, 150: 50})  # contiguous OOO run
-        assert receiver._sack_ranges() == [(100, 200)]
+        # A contiguous out-of-order run.
+        assert sack_blocks(receiver, {100: 50, 150: 50}) == [(100, 200)]
 
     def test_multiple_runs(self, sim):
         receiver = self.build_receiver(sim)
-        hold(receiver, {100: 50, 300: 50, 400: 50})
-        assert receiver._sack_ranges() == [(100, 150), (300, 350),
-                                           (400, 450)]
+        assert sack_blocks(receiver, {100: 50, 300: 50, 400: 50}) == [
+            (100, 150), (300, 350), (400, 450)]
 
     def test_block_cap(self, sim):
         receiver = self.build_receiver(sim)
-        hold(receiver, {i * 100: 10 for i in range(10)})
-        assert len(receiver._sack_ranges()) == 4
+        # Ten runs above ``rcv_nxt`` (1 after the handshake).
+        ooo = {i * 100: 10 for i in range(1, 11)}
+        assert len(sack_blocks(receiver, ooo)) == 4
+        assert len(receiver._ooo.spans) == 10
 
 
 class TestLossInference:

@@ -3,63 +3,86 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.offloads.gateway import BridgeChunk, _BridgedStream
+from repro.offloads.gateway import BridgeChunk, TcpMtpGateway, _Session
+from repro.sim import Simulator
+
+
+class LocalLeg:
+    """Stands in for the gateway's TCP leg: records sends and closes."""
+
+    def __init__(self):
+        self.sent = 0
+        self.closed_after = []  # bytes sent when each close() ran
+
+    def send(self, nbytes):
+        assert not self.closed_after, "data sent after close"
+        self.sent += nbytes
+
+    def close(self):
+        self.closed_after.append(self.sent)
 
 
 @st.composite
 def chunk_sequences(draw):
-    """A valid chunk partition of a stream, plus an arrival permutation."""
+    """A chunk partition of a stream and its one-offset FIN chunk, as a
+    gateway relays them, plus an arrival permutation."""
     n_chunks = draw(st.integers(min_value=1, max_value=30))
     lengths = draw(st.lists(st.integers(min_value=1, max_value=5000),
                             min_size=n_chunks, max_size=n_chunks))
     chunks = []
     offset = 0
-    for index, length in enumerate(lengths):
-        chunks.append(BridgeChunk(1, "fwd", offset, length,
-                                  fin=index == n_chunks - 1))
+    for length in lengths:
+        chunks.append(BridgeChunk(1, "fwd", offset, length))
         offset += length
-    order = draw(st.permutations(range(n_chunks)))
+    chunks.append(BridgeChunk(1, "fwd", offset, 1, fin=True))
+    order = draw(st.permutations(range(len(chunks))))
     return chunks, order
+
+
+def bridge(chunks, order, check=lambda session: None):
+    """Feed ``chunks`` in ``order`` to a gateway session's receive path;
+    returns the local leg."""
+    gateway = TcpMtpGateway(Simulator(), "gw")
+    session = _Session(1, 0)
+    session.conn = leg = LocalLeg()
+    for index in order:
+        gateway._deliver(session, chunks[index])
+        check(session)
+    return leg
+
+
+def stream_bytes(chunks):
+    return sum(chunk.length for chunk in chunks if not chunk.fin)
 
 
 @given(chunk_sequences())
 @settings(max_examples=300)
 def test_any_arrival_order_releases_all_bytes(data):
     chunks, order = data
-    stream = _BridgedStream()
-    total_released = 0
-    fin_seen = False
-    for index in order:
-        released, fin = stream.add(chunks[index])
-        total_released += released
-        fin_seen = fin_seen or fin
-    assert total_released == sum(chunk.length for chunk in chunks)
-    assert fin_seen
+    leg = bridge(chunks, order)
+    assert leg.sent == stream_bytes(chunks)
+    assert len(leg.closed_after) == 1
 
 
 @given(chunk_sequences())
 @settings(max_examples=300)
 def test_release_is_prefix_ordered(data):
     chunks, order = data
-    stream = _BridgedStream()
-    for index in order:
-        stream.add(chunks[index])
+
+    def check(session):
         # next_offset only ever covers a contiguous prefix.
-        assert all(offset >= stream.next_offset
-                   for offset in stream.pending)
+        assert all(start > session.next_offset
+                   for start, _ in session.held.spans)
+        assert session.conn.sent == min(session.next_offset,
+                                        stream_bytes(chunks))
+
+    bridge(chunks, order, check)
 
 
 @given(chunk_sequences())
 @settings(max_examples=200)
 def test_fin_only_after_everything_before_it(data):
     chunks, order = data
-    stream = _BridgedStream()
-    released_before_fin = 0
-    for index in order:
-        released, fin = stream.add(chunks[index])
-        if fin:
-            # FIN can only be released once every earlier byte was.
-            assert stream.next_offset == sum(chunk.length
-                                             for chunk in chunks)
-        else:
-            released_before_fin += released
+    leg = bridge(chunks, order)
+    # FIN can only be released once every earlier byte was.
+    assert leg.closed_after == [stream_bytes(chunks)]

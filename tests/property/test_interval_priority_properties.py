@@ -1,11 +1,12 @@
-"""Property tests: MPTCP interval set and priority queue invariants."""
+"""Property tests: in-order prefix over ``Runs`` (as the MPTCP meta
+receiver keeps it) and priority queue invariants."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KIND_DATA, MtpHeader
 from repro.net import Packet, PriorityQueue
-from repro.transport.mptcp import _IntervalSet
+from repro.transport.base import Runs
 
 intervals = st.lists(
     st.tuples(st.integers(min_value=0, max_value=1000),
@@ -13,11 +14,25 @@ intervals = st.lists(
     min_size=1, max_size=50)
 
 
+class Prefix:
+    """Meta bytes received in any order, delivered as an in-order prefix."""
+
+    def __init__(self):
+        self.runs = Runs()
+        self.prefix = 0
+
+    def add(self, start, end):
+        """File ``[start, end)``; returns the newly in-order bytes."""
+        self.runs.add(start, end)
+        old, self.prefix = self.prefix, self.runs.advance(self.prefix)
+        return self.prefix - old
+
+
 class TestIntervalSet:
     @given(intervals)
     @settings(max_examples=200)
     def test_prefix_monotonic(self, spans):
-        tracker = _IntervalSet()
+        tracker = Prefix()
         previous = 0
         for start, length in spans:
             tracker.add(start, start + length)
@@ -27,7 +42,7 @@ class TestIntervalSet:
     @given(intervals)
     @settings(max_examples=200)
     def test_newly_ordered_sums_to_prefix(self, spans):
-        tracker = _IntervalSet()
+        tracker = Prefix()
         total_new = 0
         for start, length in spans:
             total_new += tracker.add(start, start + length)
@@ -37,17 +52,18 @@ class TestIntervalSet:
            st.integers(min_value=1, max_value=50))
     @settings(max_examples=100)
     def test_full_coverage_any_order(self, rng, n_chunks):
-        tracker = _IntervalSet()
+        tracker = Prefix()
         chunks = [(i * 10, (i + 1) * 10) for i in range(n_chunks)]
         rng.shuffle(chunks)
         for start, end in chunks:
             tracker.add(start, end)
         assert tracker.prefix == n_chunks * 10
+        assert tracker.runs.spans == []
 
     @given(intervals)
     @settings(max_examples=100)
     def test_duplicates_never_overcount(self, spans):
-        tracker = _IntervalSet()
+        tracker = Prefix()
         for start, length in spans:
             tracker.add(start, start + length)
         once = tracker.prefix

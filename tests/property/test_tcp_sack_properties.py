@@ -3,12 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Network, Packet
+from repro.net import Network
 from repro.sim import Simulator, gbps
-from repro.transport import ConnectionCallbacks, TcpHeader, TcpStack
-from repro.transport.tcp import FLAG_ACK
+from repro.transport import ConnectionCallbacks, TcpStack
+from tests.util import receive_segment
 
-#: Arbitrary out-of-order segment maps: seq -> length.
+#: Arbitrary out-of-order segment maps: offset above ``rcv_nxt`` -> length.
 ooo_maps = st.dictionaries(
     keys=st.integers(min_value=1, max_value=10_000),
     values=st.integers(min_value=1, max_value=1460),
@@ -36,9 +36,19 @@ def make_receiver():
 
 
 def hold(receiver, ooo):
-    """Buffer ``{seq: length}`` out-of-order segments at ``receiver``."""
-    for seq, length in ooo.items():
-        receiver._buffer_ooo(seq, length)
+    """Deliver ``{offset: length}`` segments at ``rcv_nxt + offset``, all
+    out of order, through the receive path."""
+    base = receiver.rcv_nxt
+    for offset, length in ooo.items():
+        receive_segment(receiver, base + offset, length)
+    assert receiver.rcv_nxt == base
+
+
+def held_runs(receiver, max_blocks=None):
+    """The receiver's out-of-order runs, as offsets above ``rcv_nxt``."""
+    base = receiver.rcv_nxt
+    return [(start - base, end - base)
+            for start, end in receiver._ooo.spans[:max_blocks]]
 
 
 def sorted_walk_ranges(ooo):
@@ -65,7 +75,7 @@ def sorted_walk_ranges(ooo):
 def test_ranges_sorted_and_disjoint(ooo):
     receiver = make_receiver()
     hold(receiver, ooo)
-    ranges = receiver._sack_ranges(max_blocks=100)
+    ranges = held_runs(receiver, max_blocks=100)
     for (start, end) in ranges:
         assert start < end
     for (_, end_a), (start_b, _) in zip(ranges, ranges[1:]):
@@ -77,7 +87,7 @@ def test_ranges_sorted_and_disjoint(ooo):
 def test_every_ooo_byte_is_covered(ooo):
     receiver = make_receiver()
     hold(receiver, ooo)
-    ranges = receiver._sack_ranges(max_blocks=10 ** 6)
+    ranges = held_runs(receiver)
 
     def covered(position):
         return any(start <= position < end for start, end in ranges)
@@ -92,7 +102,13 @@ def test_every_ooo_byte_is_covered(ooo):
 def test_block_cap_respected(ooo):
     receiver = make_receiver()
     hold(receiver, ooo)
-    assert len(receiver._sack_ranges(max_blocks=4)) <= 4
+    sent = []
+    receiver.stack.send_packet = sent.append
+    receiver._send_ack()
+    blocks = sent[-1].header.sack_blocks
+    assert len(blocks) <= 4
+    assert [(start - receiver.rcv_nxt, end - receiver.rcv_nxt)
+            for start, end in blocks] == held_runs(receiver)[:4]
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
@@ -101,14 +117,14 @@ def test_block_cap_respected(ooo):
 @settings(max_examples=200, deadline=None)
 def test_runs_match_sorted_walk_in_any_arrival_order(arrivals):
     """Merging each segment into the runs as it arrives, in any order and
-    with overlaps and duplicates, gives the runs a sort of the whole
-    out-of-order map gives."""
+    with overlaps and duplicates, gives the runs a sort of every segment
+    held so far gives."""
     receiver = make_receiver()
+    held = {}
     for seq, length in arrivals:
-        receiver._buffer_ooo(seq, length)
-        assert (receiver._sack_ranges(max_blocks=10 ** 6)
-                == sorted_walk_ranges(receiver._ooo))
-    assert receiver._sack_ranges() == sorted_walk_ranges(receiver._ooo)[:4]
+        hold(receiver, {seq: length})
+        held[seq] = max(held.get(seq, 0), length)
+        assert held_runs(receiver) == sorted_walk_ranges(held)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=1460), min_size=1,
@@ -118,30 +134,30 @@ def test_runs_match_sorted_walk_in_any_arrival_order(arrivals):
 @settings(max_examples=200, deadline=None)
 def test_receive_path_runs_match_sorted_walk(case):
     """Segments of one stream arriving out of order, duplicated or not at
-    all: after each one, and at each delivery while an in-order arrival
-    drains held data (an application may send a window update from
-    there), the runs are those of the held segments."""
+    all: after each one, and at the delivery an in-order arrival makes (an
+    application may send a window update from there), the runs are those
+    of the segments held above ``rcv_nxt``, and every byte below it was
+    delivered."""
     sizes, order = case
     receiver = make_receiver()
-
-    def check_runs(*_):
-        ranges = receiver._sack_ranges(max_blocks=10 ** 6)
-        assert ranges == sorted_walk_ranges(receiver._ooo)
-        # Mid-drain the next held segment may start at ``rcv_nxt``.
-        assert all(start >= receiver.rcv_nxt for start, _ in ranges)
-
-    receiver.callbacks.on_data = check_runs
-    starts = [receiver.rcv_nxt]
+    base = receiver.rcv_nxt
+    starts = [base]
     for size in sizes:
         starts.append(starts[-1] + size)
+    arrived = set()
+
+    def check_runs(*_):
+        held = {starts[i]: sizes[i] for i in arrived
+                if starts[i] > receiver.rcv_nxt}
+        assert receiver._ooo.spans == sorted_walk_ranges(held)
+        assert receiver.bytes_delivered == receiver.rcv_nxt - base
+
+    receiver.callbacks.on_data = check_runs
     for index in order:
-        header = TcpHeader(receiver.remote_port, receiver.local_port,
-                           starts[index], 1, FLAG_ACK, 0, False, 0, -1,
-                           sizes[index])
-        packet = Packet(receiver.remote_address,
-                        receiver.stack.host.address, 40 + sizes[index],
-                        "tcp", header)
-        receiver._handle_data(packet, header)
+        arrived.add(index)
+        receive_segment(receiver, starts[index], sizes[index])
         check_runs()
-        assert all(start > receiver.rcv_nxt
-                   for start, _ in receiver._sack_ranges())
+    in_order = 0
+    while in_order in arrived:
+        in_order += 1
+    assert receiver.rcv_nxt == starts[in_order]

@@ -1,6 +1,7 @@
 """QUIC internals: ACK-range merging, stream reassembly, loss math."""
 
-from repro.transport.quic import PACKET_THRESHOLD, QuicStream
+from repro.net import Packet
+from repro.transport.quic import PACKET_THRESHOLD, QuicHeader, QuicStream
 
 
 class TestQuicStream:
@@ -13,7 +14,7 @@ class TestQuicStream:
     def test_out_of_order_held(self):
         stream = QuicStream(1)
         assert stream.add_frame(100, 100, True) == 0
-        assert not stream.fin_seen
+        assert not stream.finished
         assert stream.add_frame(0, 100, False) == 200
         assert stream.finished
 
@@ -34,8 +35,8 @@ class TestQuicStream:
 
 class TestAckRangeMerging:
     def make_conn(self):
-        # A connection detached from any network: we only poke the
-        # receive-range bookkeeping.
+        # A connection detached from any network: packets are handed to
+        # its stack directly.
         from repro.net import Network
         from repro.sim import Simulator, gbps
         from repro.transport import QuicStack
@@ -48,29 +49,32 @@ class TestAckRangeMerging:
         stack = QuicStack(a)
         return stack.connect(b.address, 443)
 
-    def test_contiguous_merge(self):
+    def ack_ranges_after(self, pns):
+        """Receive one stream frame in each packet number of ``pns``;
+        returns the ranges of the last ACK sent."""
         conn = self.make_conn()
-        for pn in (1, 2, 3):
-            conn._record_received(pn)
-        assert conn._recv_ranges == [[1, 3]]
+        sent = []
+        conn.stack.send_packet = sent.append
+        for pn in pns:
+            header = QuicHeader(conn.connection_id, pn)
+            header.stream_frames = [(1, 10 * pn, 10, False)]
+            conn.stack.handle_packet(Packet(conn.remote_address,
+                                            conn.stack.host.address, 50,
+                                            "quic", header=header))
+        return sent[-1].header.ack_ranges
+
+    def test_contiguous_merge(self):
+        assert self.ack_ranges_after((1, 2, 3)) == [(1, 4)]
 
     def test_gap_creates_second_range(self):
-        conn = self.make_conn()
-        conn._record_received(1)
-        conn._record_received(5)
-        assert conn._recv_ranges == [[1, 1], [5, 5]]
+        assert self.ack_ranges_after((1, 5)) == [(1, 2), (5, 6)]
 
     def test_gap_fill_merges(self):
-        conn = self.make_conn()
-        for pn in (1, 5, 3, 2, 4):
-            conn._record_received(pn)
-        assert conn._recv_ranges == [[1, 5]]
+        assert self.ack_ranges_after((1, 5, 3, 2, 4)) == [(1, 6)]
 
     def test_out_of_order_arrivals(self):
-        conn = self.make_conn()
-        for pn in (10, 2, 7, 3, 9):
-            conn._record_received(pn)
-        assert conn._recv_ranges == [[2, 3], [7, 7], [9, 10]]
+        assert self.ack_ranges_after((10, 2, 7, 3, 9)) == [
+            (2, 4), (7, 8), (9, 11)]
 
     def test_packet_threshold_constant(self):
         assert PACKET_THRESHOLD == 3

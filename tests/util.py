@@ -1,8 +1,9 @@
 """Shared helpers for integration tests."""
 
-from repro.net import DropTailQueue, Network
+from repro.net import DropTailQueue, Network, Packet
 from repro.sim import gbps, microseconds
-from repro.transport import ConnectionCallbacks, TcpStack
+from repro.transport import ConnectionCallbacks, TcpHeader, TcpStack
+from repro.transport.tcp import FLAG_ACK, UNLIMITED_WINDOW
 
 
 class TransferApp:
@@ -60,3 +61,12 @@ def run_transfer(sim, stack_a, stack_b, b_address, nbytes,
                     variant=variant, **conn_options)
     sim.run(until=until)
     return app
+
+
+def receive_segment(conn, seq, length=0, wnd=UNLIMITED_WINDOW):
+    """Hand ``conn`` one segment from its peer, as the network would: an
+    ACK of ``conn.snd_una`` carrying ``length`` bytes at ``seq``."""
+    header = TcpHeader(conn.remote_port, conn.local_port, seq, conn.snd_una,
+                       FLAG_ACK, wnd, False, 0, -1, length)
+    conn.handle_segment(Packet(conn.remote_address, conn.stack.host.address,
+                               40 + length, "tcp", header), header)
