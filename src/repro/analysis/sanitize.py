@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..net.link import Port
 from ..net.packet import Packet
 from ..net.queues import QueueDiscipline
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Timer
 
 __all__ = ["SanitizerError", "SanitizingSimulator", "PacketLedger",
            "ConservationReport", "audit_queue", "audit_network_queues"]
@@ -51,11 +51,12 @@ class SanitizingSimulator(Simulator):
     Checks (beyond the base class's scheduling-in-the-past and re-entrant
     ``run`` errors):
 
-    * every ``delay`` / ``time`` passed to :meth:`schedule` / :meth:`at` is
-      a plain integer — floats (SIM003 at runtime) and bools are rejected
-      with the target callback named;
+    * every time it queues — the ``delay`` / ``time`` passed to
+      :meth:`schedule` / :meth:`at` and every :class:`~repro.sim.Timer`
+      wake-up — is a plain integer; floats (SIM003 at runtime) and bools
+      are rejected with the target callback named;
     * the event clock is monotonically non-decreasing across fired events
-      (a violation means someone mutated handle/heap state behind the
+      (a violation means someone mutated timer/heap state behind the
       kernel's back).
     """
 
@@ -70,20 +71,27 @@ class SanitizingSimulator(Simulator):
             self.ledger = ledger
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any):
-        self._check_time_value("schedule", "delay", delay, callback)
-        return super().schedule(delay, callback, *args)
+                 *args: Any) -> None:
+        self._check_time_value("Simulator.schedule", "delay", delay,
+                               callback)
+        super().schedule(delay, callback, *args)
 
-    def at(self, time: int, callback: Callable[..., None], *args: Any):
-        self._check_time_value("at", "time", time, callback)
-        return super().at(time, callback, *args)
+    def at(self, time: int, callback: Callable[..., None],
+           *args: Any) -> None:
+        self._check_time_value("Simulator.at", "time", time, callback)
+        super().at(time, callback, *args)
+
+    def _arm(self, time: int, timer: Timer) -> int:
+        self._check_time_value("Timer.restart", "deadline", time,
+                               timer._callback)
+        return super()._arm(time, timer)
 
     @staticmethod
     def _check_time_value(method: str, argname: str, value: Any,
                           callback: Callable) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SanitizerError(
-                f"Simulator.{method}() {argname}={value!r} "
+                f"{method}() {argname}={value!r} "
                 f"({type(value).__name__}) for {_callback_name(callback)}: "
                 f"virtual time must be integer nanoseconds (SIM003)")
 

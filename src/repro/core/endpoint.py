@@ -10,7 +10,6 @@ trimming) trigger immediate repair of one packet.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Callable, Dict, Optional, Tuple
 
@@ -143,11 +142,13 @@ class MtpEndpoint:
         #: so a round can tell when every queued route is window-blocked.
         self._ready_routes: Dict[int, Dict[Tuple[int, str], int]] = {}
         self._retx_queue: list = []  # (priority, msg_id, pkt_num)
-        #: Min-heap of (send_time, msg_id, pkt_num) for in-flight packets;
-        #: entries are validated lazily against the authoritative
+        #: FIFO of (send_time, msg_id, pkt_num) for in-flight packets.
+        #: Every push happens at ``sim.now``, so push order is time order
+        #: and the first valid entry has the earliest send time.  Entries
+        #: are validated lazily against the authoritative
         #: ``SendState.inflight`` when peeked, so the retransmission timer
-        #: arms in O(log n) instead of rescanning every in-flight packet.
-        self._send_times: list = []
+        #: arms without rescanning every in-flight packet.
+        self._send_times: deque = deque()
         #: How many window-blocked messages to skip past per send round
         #: before giving up (bounds the scheduler's per-event work).
         self.max_blocked_scan = 32
@@ -347,8 +348,7 @@ class MtpEndpoint:
         path = self.cc.path_for(state.dst_address)
         self.cc.charge(path, message.tc, pkt_len)
         state.inflight[pkt_num] = (self.sim.now, retransmit, path)
-        heapq.heappush(self._send_times,
-                       (self.sim.now, message.msg_id, pkt_num))
+        self._send_times.append((self.sim.now, message.msg_id, pkt_num))
         if retransmit:
             state.retransmissions += 1
             self.retransmissions += 1
@@ -492,16 +492,17 @@ class MtpEndpoint:
     # ------------------------------------------------------------------
 
     def _earliest_deadline(self) -> Optional[int]:
-        # Pop stale heap entries: the message finished, the packet was
+        # Pop stale entries: the message finished, the packet was
         # acked/requeued, or it was retransmitted at a later time.
-        while self._send_times:
-            send_time, msg_id, pkt_num = self._send_times[0]
+        send_times = self._send_times
+        while send_times:
+            send_time, msg_id, pkt_num = send_times[0]
             state = self._outgoing.get(msg_id)
             if state is not None:
                 entry = state.inflight.get(pkt_num)
                 if entry is not None and entry[0] == send_time:
                     return send_time + self.rtt.rto
-            heapq.heappop(self._send_times)
+            send_times.popleft()
         return None
 
     def _arm_rto(self) -> None:

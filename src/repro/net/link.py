@@ -140,12 +140,10 @@ class Port:
             tx_delay = transmission_delay(size, self.rate_bps)
             self._tx_delays[size] = tx_delay
         self.busy_until = sim.now + tx_delay
-        # Serialization completions are never cancelled: use the
-        # handle-free fast path (one tuple instead of tuple + handle).
         # The epoch rides along so a completion scheduled before an
         # outage is recognised as belonging to a dead wire.
-        sim.schedule_fast(tx_delay, self._finish_transmission, packet,
-                          self.down_epoch)
+        sim.schedule(tx_delay, self._finish_transmission, packet,
+                     self.down_epoch)
 
     def _finish_transmission(self, packet: Packet, epoch: int = -1) -> None:
         sim = self.sim
@@ -161,9 +159,8 @@ class Port:
         if self.on_transmit is not None:
             self.on_transmit(packet)
         # Propagation: packet arrives at the peer after the link delay.
-        # Packets on the wire cannot be recalled — fast path again.
-        sim.schedule_fast(self.delay_ns, self._deliver, packet,
-                          self.down_epoch)
+        sim.schedule(self.delay_ns, self._deliver, packet,
+                     self.down_epoch)
         # An empty queue leaves the transmitter idle until the next send.
         # The counters say whether a packet waits without a len() call
         # (enqueued == dequeued + len, the QueueDiscipline invariant).

@@ -90,9 +90,8 @@ class PeriodicSampler:
         if self._stopped:
             return
         self.samples.append((self.sim.now, self.probe()))
-        # Self-rescheduling tick that is never cancelled (stop() is a
-        # flag check at fire time): handle-free fast path.
-        self.sim.schedule_fast(self.interval_ns, self._tick)
+        # stop() is a flag check at fire time: the tick is never cancelled.
+        self.sim.schedule(self.interval_ns, self._tick)
 
     def values(self) -> List[float]:
         """Just the sampled values, in time order."""

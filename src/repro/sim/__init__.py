@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel: clock, events, timers, RNG, units."""
 
-from .engine import EventHandle, SimulationError, Simulator, Timer
+from .engine import SimulationError, Simulator, Timer
 from .rng import SeedSequence
 from .units import (GBPS, GIB, KIB, MBPS, MIB, MICROSECOND, MILLISECOND,
                     NANOSECOND, SECOND, format_rate, format_time, gbps,
@@ -8,7 +8,7 @@ from .units import (GBPS, GIB, KIB, MBPS, MIB, MICROSECOND, MILLISECOND,
                     transmission_delay)
 
 __all__ = [
-    "Simulator", "EventHandle", "Timer", "SimulationError",
+    "Simulator", "Timer", "SimulationError",
     "SeedSequence",
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
     "GBPS", "MBPS", "KIB", "MIB", "GIB",

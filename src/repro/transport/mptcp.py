@@ -32,8 +32,8 @@ from ..net.node import Host
 from ..net.packet import Packet
 from ..sim.engine import Simulator
 from ..sim.units import microseconds
-from .base import ConnectionCallbacks, Runs, TransportStack
-from .tcp import TcpConnection, TcpHeader, TcpStack, FLAG_ACK, FLAG_SYN
+from .base import ConnectionCallbacks, Runs
+from .tcp import TcpConnection, TcpHeader, TcpStack
 
 __all__ = ["MptcpStack", "MptcpConnection"]
 
@@ -220,27 +220,25 @@ class MptcpConnection:
                 f"delivered={self.bytes_delivered}>")
 
 
-class MptcpStack(TransportStack):
-    """Per-host MPTCP: a TCP stack plus meta-connection management."""
+class MptcpStack(TcpStack):
+    """Per-host MPTCP: a TCP stack whose connections are the subflows of
+    meta-connections.
+
+    It demultiplexes under its own protocol name, so plain TCP on the
+    same host is unaffected.  Only the SYN-accept branch differs from
+    TCP: a listener's ``accept(meta)`` is called once per
+    meta-connection, and its ``options`` go to every subflow.
+    """
 
     protocol_name = "mptcp"
 
     def __init__(self, host: Host):
-        # Reuse the TCP stack machinery but demux under our own protocol
-        # name so plain TCP on the same host is unaffected.
         super().__init__(host)
-        self._tcp = TcpStack.__new__(TcpStack)
-        self._tcp.host = host
-        self._tcp.sim = host.sim
-        self._tcp._connections = {}
-        self._tcp._listeners = {}
-        self._tcp._next_port = 40_000
-        # Route subflow segments out under the "mptcp" protocol label.
-        self._tcp.send_packet = self._send_subflow_packet
+        self._next_port = 40_000
         self._metas: Dict[Tuple[int, int], MptcpConnection] = {}
-        self._listeners: Dict[int, Tuple[Callable, dict]] = {}
 
-    def _send_subflow_packet(self, packet: Packet) -> bool:
+    def send_packet(self, packet: Packet) -> bool:
+        """Send a subflow segment under the "mptcp" protocol label."""
         packet.protocol = "mptcp"
         return self.host.send(packet)
 
@@ -259,22 +257,16 @@ class MptcpStack(TransportStack):
         self._metas[(dst_address, meta_id)] = meta
         _GLOBAL_META_REGISTRY[(meta_id, True)] = meta
         for _ in range(n_subflows):
-            local_port = self._tcp._allocate_port()
-            subflow = TcpConnection(self._tcp, local_port, dst_address,
+            local_port = self._allocate_port()
+            subflow = TcpConnection(self, local_port, dst_address,
                                     dst_port, ConnectionCallbacks(),
                                     meta_id=meta_id, **options)
-            self._tcp._register(subflow)
+            self._register(subflow)
             meta._attach_subflow(subflow)
             subflow.open_active()
         return meta
 
     # -- server side -------------------------------------------------------
-
-    def listen(self, port: int,
-               accept: Callable[[MptcpConnection], ConnectionCallbacks],
-               **options) -> None:
-        """Accept meta-connections on ``port``."""
-        self._listeners[port] = (accept, options)
 
     def peer_of(self, meta: MptcpConnection) -> Optional[MptcpConnection]:
         """The remote meta-connection object.
@@ -287,33 +279,23 @@ class MptcpStack(TransportStack):
         return _GLOBAL_META_REGISTRY.get((meta.meta_id,
                                           not meta.is_client))
 
-    def handle_packet(self, packet: Packet) -> None:
-        header: TcpHeader = packet.header
-        key = (header.dst_port, packet.src, header.src_port)
-        conn = self._tcp._connections.get(key)
-        if conn is not None:
-            conn.handle_segment(packet, header)
-            return
-        if header.flags & FLAG_SYN and not header.flags & FLAG_ACK:
-            listener = self._listeners.get(header.dst_port)
-            if listener is None:
-                return
-            accept, options = listener
-            meta_key = (packet.src, header.meta_id)
-            meta = self._metas.get(meta_key)
-            if meta is None:
-                meta = MptcpConnection(self, header.meta_id,
-                                       ConnectionCallbacks(), 0,
-                                       is_client=False)
-                self._metas[meta_key] = meta
-                meta.callbacks = accept(meta)
-                _GLOBAL_META_REGISTRY[(header.meta_id, False)] = meta
-            subflow = TcpConnection(self._tcp, header.dst_port, packet.src,
-                                    header.src_port, ConnectionCallbacks(),
-                                    meta_id=header.meta_id, **options)
-            self._tcp._register(subflow)
-            meta._attach_subflow(subflow)
-            subflow.handle_segment(packet, header)
+    def _accept(self, packet: Packet, header: TcpHeader,
+                accept: Callable, options: dict) -> None:
+        meta_key = (packet.src, header.meta_id)
+        meta = self._metas.get(meta_key)
+        if meta is None:
+            meta = MptcpConnection(self, header.meta_id,
+                                   ConnectionCallbacks(), 0,
+                                   is_client=False)
+            self._metas[meta_key] = meta
+            meta.callbacks = accept(meta)
+            _GLOBAL_META_REGISTRY[(header.meta_id, False)] = meta
+        subflow = TcpConnection(self, header.dst_port, packet.src,
+                                header.src_port, ConnectionCallbacks(),
+                                meta_id=header.meta_id, **options)
+        self._register(subflow)
+        meta._attach_subflow(subflow)
+        subflow.handle_segment(packet, header)
 
 
 #: (meta_id, is_client) -> MptcpConnection, for multi-hop peer lookup.

@@ -346,18 +346,26 @@ class QuicConnection:
     # -- acknowledgement & loss ------------------------------------------------
 
     def _handle_acks(self, header: QuicHeader) -> None:
+        # One merge walk: ``_sent`` keys ascend (packet numbers are taken
+        # in send order) and ACK ranges are ``Runs`` spans (sorted,
+        # disjoint, half-open).
+        sent = self._sent
+        pns = list(sent)
+        count = len(pns)
+        index = 0
         newly_acked_bytes = 0
-        newly_acked_pns = []
+        largest = -1
         for first, end in header.ack_ranges:
-            for pn in list(self._sent):
-                if first <= pn < end:
-                    info = self._sent.pop(pn)
-                    self._pipe -= info["size"]
-                    newly_acked_bytes += info["size"]
-                    newly_acked_pns.append(pn)
-        if not newly_acked_pns:
+            while index < count and pns[index] < first:
+                index += 1
+            while index < count and pns[index] < end:
+                largest = pns[index]
+                size = sent.pop(largest)["size"]
+                self._pipe -= size
+                newly_acked_bytes += size
+                index += 1
+        if largest < 0:
             return
-        largest = max(newly_acked_pns)
         self._largest_acked = max(self._largest_acked, largest)
         self.rtt.sample(self.sim.now, header.ts_echo)
         self.rtt.backoff = 0  # acknowledged progress resets the PTO
@@ -398,7 +406,8 @@ class QuicConnection:
         if not self._sent:
             self._loss_timer.stop()
             return
-        oldest = min(info["ts"] for info in self._sent.values())
+        # Send times ascend with packet numbers: the first entry is oldest.
+        oldest = next(iter(self._sent.values()))["ts"]
         delay = max(0, oldest + self.rtt.rto - self.sim.now)
         self._loss_timer.restart(delay)
 

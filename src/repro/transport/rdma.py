@@ -31,6 +31,7 @@ from ..net.node import Host
 from ..net.packet import DEFAULT_HEADER_BYTES, MTU, Packet
 from ..sim.engine import Timer
 from ..sim.units import microseconds, transmission_delay
+from .base import TransportStack
 
 __all__ = ["RdmaStack", "RcQueuePair", "UcQueuePair", "UdQueuePair",
            "RDMA_MAX_UD_PAYLOAD"]
@@ -71,15 +72,13 @@ class RdmaHeader:
                 f"psn={self.psn} msg={self.msg_id}>")
 
 
-class RdmaStack:
+class RdmaStack(TransportStack):
     """Per-host RDMA device: queue pairs demultiplexed by QP number."""
 
     protocol_name = "rdma"
 
     def __init__(self, host: Host):
-        self.host = host
-        self.sim = host.sim
-        host.register_protocol(self.protocol_name, self)
+        super().__init__(host)
         self._queue_pairs: Dict[int, object] = {}
 
     def create_qp(self, mode: str, **options):
@@ -96,9 +95,6 @@ class RdmaStack:
         qp = self._queue_pairs.get(header.dst_qp)
         if qp is not None:
             qp._handle(packet, header)
-
-    def send_packet(self, packet: Packet) -> bool:
-        return self.host.send(packet)
 
 
 class _BaseQueuePair:

@@ -142,13 +142,17 @@ class TcpStack(TransportStack):
         if header.flags & FLAG_SYN and not header.flags & FLAG_ACK:
             listener = self._listeners.get(header.dst_port)
             if listener is not None:
-                accept, options = listener
-                conn = TcpConnection(self, header.dst_port, packet.src,
-                                     header.src_port, ConnectionCallbacks(),
-                                     **options)
-                conn.callbacks = accept(conn)
-                self._register(conn)
-                conn.handle_segment(packet, header)
+                self._accept(packet, header, *listener)
+
+    def _accept(self, packet: Packet, header: TcpHeader,
+                accept: Callable, options: dict) -> None:
+        """Open the passive side of a connection for a listener's SYN."""
+        conn = TcpConnection(self, header.dst_port, packet.src,
+                             header.src_port, ConnectionCallbacks(),
+                             **options)
+        conn.callbacks = accept(conn)
+        self._register(conn)
+        conn.handle_segment(packet, header)
 
 
 class TcpConnection:

@@ -15,7 +15,7 @@ from repro.net import DropTailQueue, Network, PacketSpraySelector
 from repro.net.packet import Packet
 from repro.offloads import (AggregationOffload, GradientChunk, InNetworkCache,
                             TcpMtpGateway)
-from repro.sim import Simulator, gbps, microseconds, milliseconds
+from repro.sim import Simulator, Timer, gbps, microseconds, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
 
 
@@ -69,6 +69,30 @@ class TestSanitizingSimulator:
         sim = SanitizingSimulator()
         with pytest.raises(SanitizerError):
             sim.at(2.0, noop)
+
+    def test_float_link_delay_rejected_on_first_packet(self):
+        # Propagation is queued by the per-packet path, so the check
+        # must see every scheduled event, not just the callers' own.
+        sim = SanitizingSimulator()
+        net = Network(sim)
+        sender = net.add_host("sender")
+        receiver = net.add_host("receiver")
+        net.connect(sender, receiver, rate_bps=10**9, delay_ns=1.5)
+        net.install_routes()
+        receiver.register_protocol("test", Sink())
+        sender.send(make_packet(sender, receiver))
+        with pytest.raises(SanitizerError) as excinfo:
+            sim.run()
+        assert "delay=1.5" in str(excinfo.value)
+
+    def test_float_timer_restart_rejected(self):
+        sim = SanitizingSimulator()
+        timer = Timer(sim, noop)
+        with pytest.raises(SanitizerError) as excinfo:
+            timer.restart(2.5)
+        message = str(excinfo.value)
+        assert "Timer.restart" in message
+        assert "noop" in message
 
     def test_integer_times_pass_and_are_counted(self):
         sim = SanitizingSimulator()

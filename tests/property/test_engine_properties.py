@@ -1,4 +1,8 @@
-"""Property tests: event-kernel ordering and cancellation invariants."""
+"""Property tests: event-kernel ordering and cancellation invariants.
+
+A :class:`Timer` is the kernel's only cancellable event, so cancellation
+is exercised by stopping and re-arming timers.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +10,16 @@ from hypothesis import strategies as st
 from repro.sim import Simulator
 from repro.sim.engine import COMPACT_MIN_CANCELLED, Timer
 
-#: Operations: ("schedule", delay) or ("cancel", index of earlier schedule).
+
+def armed(sim, delay, callback):
+    """A timer restarted ``delay`` ns from now."""
+    timer = Timer(sim, callback)
+    timer.restart(delay)
+    return timer
+
+
+#: Operations: ("schedule", delay) arms a timer, ("cancel", index) stops
+#: an earlier one.
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"),
@@ -21,14 +34,14 @@ operations = st.lists(
 def test_events_fire_in_nondecreasing_time_order(ops):
     sim = Simulator()
     fired = []
-    handles = []
+    timers = []
     for op in ops:
         if op[0] == "schedule":
             delay = op[1]
-            handles.append(
-                sim.schedule(delay, lambda d=delay: fired.append(d)))
-        elif handles:
-            handles[op[1] % len(handles)].cancel()
+            timers.append(
+                armed(sim, delay, lambda d=delay: fired.append(d)))
+        elif timers:
+            timers[op[1] % len(timers)].stop()
     sim.run()
     assert fired == sorted(fired)
 
@@ -38,20 +51,20 @@ def test_events_fire_in_nondecreasing_time_order(ops):
 def test_cancelled_events_never_fire(ops):
     sim = Simulator()
     fired = []
-    handles = []
+    timers = []
     cancelled = set()
     for op in ops:
         if op[0] == "schedule":
-            index = len(handles)
-            handles.append(
-                sim.schedule(op[1], lambda i=index: fired.append(i)))
-        elif handles:
-            index = op[1] % len(handles)
-            handles[index].cancel()
+            index = len(timers)
+            timers.append(
+                armed(sim, op[1], lambda i=index: fired.append(i)))
+        elif timers:
+            index = op[1] % len(timers)
+            timers[index].stop()
             cancelled.add(index)
     sim.run()
     assert not (set(fired) & cancelled)
-    assert set(fired) | cancelled == set(range(len(handles)))
+    assert set(fired) | cancelled == set(range(len(timers)))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
@@ -91,12 +104,13 @@ def test_same_tick_fifo_order(ticks):
 def compaction_plans(draw):
     """More than ``2 * COMPACT_MIN_CANCELLED`` events, most cancelled.
 
-    Every handle event whose index is not a multiple of ``keep_every`` is
-    doomed: cancelled before the run or by a purge event that fires first
-    at t=0.  With at most a third of the handle events kept and few fast
-    events, the doomed ones dominate the heap when the purge returns, so
-    ``run`` compacts while it is running.  Bounded steps, cancels between
-    steps and a cancel issued by each event's callback ride along.
+    Every timer whose index is not a multiple of ``keep_every`` is
+    doomed: stopped before the run or by a purge timer that fires first
+    at t=0.  With at most a third of the timers kept and few plain
+    scheduled events, the doomed ones dominate the heap when the purge
+    returns, so ``run`` compacts while it is running.  Bounded steps,
+    stops between steps and a stop issued by each timer's callback ride
+    along.
     """
     limit = COMPACT_MIN_CANCELLED
     count = draw(st.integers(min_value=2 * limit + 1, max_value=3 * limit))
@@ -108,7 +122,7 @@ def compaction_plans(draw):
                              max_size=count))
     victims = draw(st.lists(st.one_of(st.none(), indices),
                             min_size=count, max_size=count))
-    #: (handle events scheduled before it, delay)
+    #: (timers armed before it, delay)
     fast = draw(st.lists(
         st.tuples(st.integers(min_value=0, max_value=count), times),
         max_size=limit // 2))
@@ -128,40 +142,40 @@ def test_compaction_inside_run_keeps_time_seq_order(plan):
     scheduled = []  # (time, seq) of every event, in scheduling order
     cancelled = set()  # seqs cancelled while still queued
     fired = []
-    handles = []
+    timers = []  # (timer, seq)
 
     def cancel(index):
-        handle = handles[index]
-        if handle.pending:
-            cancelled.add(handle.seq)
-        handle.cancel()
+        timer, seq = timers[index]
+        if timer.running:
+            cancelled.add(seq)
+        timer.stop()
 
     def fire(seq, doomed):
         fired.append((sim.now, seq))
         for index in doomed:
             cancel(index)
 
-    def schedule(delay, doomed):
+    def arm(delay, doomed):
         seq = len(scheduled)
         scheduled.append((delay, seq))
-        return sim.schedule(delay, fire, seq, doomed)
+        return armed(sim, delay, lambda: fire(seq, doomed)), seq
 
-    def schedule_fast(delay):
+    def schedule(delay):
         seq = len(scheduled)
         scheduled.append((delay, seq))
-        sim.schedule_fast(delay, fire, seq, ())
+        sim.schedule(delay, fire, seq, ())
 
     doomed = [index for index in range(len(delays))
               if index % keep_every]
-    schedule(0, [index for index in doomed if in_purge[index]])
+    arm(0, [index for index in doomed if in_purge[index]])
     pending_fast = list(fast)
     for index, delay in enumerate(delays):
         while pending_fast and pending_fast[0][0] <= index:
-            schedule_fast(pending_fast.pop(0)[1])
+            schedule(pending_fast.pop(0)[1])
         victim = victims[index]
-        handles.append(schedule(delay, () if victim is None else (victim,)))
+        timers.append(arm(delay, () if victim is None else (victim,)))
     for _, delay in pending_fast:
-        schedule_fast(delay)
+        schedule(delay)
     for index in doomed:
         if not in_purge[index]:
             cancel(index)
@@ -177,59 +191,56 @@ def test_compaction_inside_run_keeps_time_seq_order(plan):
     assert fired == sorted(entry for entry in scheduled
                            if entry[1] not in cancelled)
     assert sim.pending_events() == 0
-    assert sim.queued_entries() == 0
+    assert sim._queue == []
 
 
-#: Kernel operations: schedule a batch, schedule_fast, cancel one or every
-#: handle, timer restart and stop, peek, bounded run.  Indices pick among
-#: earlier handles / three timers; batches let cancellations pass the
-#: compaction threshold.
+#: Kernel operations: arm a batch of timers, schedule, stop one or every
+#: batch timer, restart and stop among three reused timers, bounded run.
+#: Indices pick among earlier batch timers / the three timers; batches
+#: let stops pass the compaction threshold.
 kernel_operations = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"), st.integers(0, 2_000),
+        st.tuples(st.just("arm"), st.integers(0, 2_000),
                   st.integers(1, 8)),
-        st.tuples(st.just("fast"), st.integers(0, 2_000)),
+        st.tuples(st.just("schedule"), st.integers(0, 2_000)),
         st.tuples(st.just("cancel"), st.integers(0, 500)),
         st.tuples(st.just("purge")),
         st.tuples(st.just("restart"), st.integers(0, 2),
                   st.integers(0, 2_000)),
         st.tuples(st.just("stop"), st.integers(0, 2)),
-        st.tuples(st.just("peek")),
         st.tuples(st.just("run"), st.integers(0, 1_500))),
     min_size=1, max_size=250)
 
 
 def live_heap_entries(sim):
-    """Brute-force count: fast entries plus uncancelled handle entries."""
+    """Brute-force count: scheduled entries plus live timer entries."""
     return sum(1 for entry in sim._queue
-               if entry[2] is not None or not entry[3].cancelled)
+               if entry[2] is not None or entry[3]._seq == entry[1])
 
 
 @given(kernel_operations)
 @settings(max_examples=200, deadline=None)
 def test_pending_events_counts_live_heap_entries(ops):
     sim = Simulator()
-    handles = []
+    batch = []
     timers = [Timer(sim, lambda: None) for _ in range(3)]
     for op in ops:
         kind = op[0]
-        if kind == "schedule":
-            handles.extend(sim.schedule(op[1] + i, lambda: None)
-                           for i in range(op[2]))
-        elif kind == "fast":
-            sim.schedule_fast(op[1], lambda: None)
+        if kind == "arm":
+            batch.extend(armed(sim, op[1] + i, lambda: None)
+                         for i in range(op[2]))
+        elif kind == "schedule":
+            sim.schedule(op[1], lambda: None)
         elif kind == "cancel":
-            if handles:
-                handles[op[1] % len(handles)].cancel()
+            if batch:
+                batch[op[1] % len(batch)].stop()
         elif kind == "purge":
-            for handle in handles:
-                handle.cancel()
+            for timer in batch:
+                timer.stop()
         elif kind == "restart":
             timers[op[1]].restart(op[2])
         elif kind == "stop":
             timers[op[1]].stop()
-        elif kind == "peek":
-            sim.peek_time()
         else:
             sim.run(until=sim.now + op[1])
         assert sim.pending_events() == live_heap_entries(sim)

@@ -3,7 +3,10 @@
 The kernel-semantics tests take the ``sim`` fixture below, whose single
 param names the event store ``Simulator`` keeps (a binary heap), so
 their ids read ``test_x[heap]``.  ``TestCancellationBookkeeping`` tests
-heap compaction itself and uses the unparametrized fixture.
+heap compaction itself and uses the unparametrized fixture.  A
+:class:`Timer` is the kernel's only cancellable event, so every
+cancellation test stops or re-arms timers; tests read the heap length
+through ``sim._queue``.
 """
 
 import pytest
@@ -72,25 +75,33 @@ class TestScheduling:
         assert sim.events_executed == 7
 
 
+def armed(sim, delay, callback=lambda: None):
+    """A timer restarted ``delay`` ns from now."""
+    timer = Timer(sim, callback)
+    timer.restart(delay)
+    return timer
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        handle = sim.schedule(10, fired.append, 1)
-        handle.cancel()
+        timer = armed(sim, 10, lambda: fired.append(1))
+        timer.stop()
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        timer = armed(sim, 10)
+        timer.stop()
+        timer.stop()
+        assert sim.pending_events() == 0
         sim.run()
 
     def test_pending_property(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        assert handle.pending
-        handle.cancel()
-        assert not handle.pending
+        timer = armed(sim, 10)
+        assert timer.running
+        timer.stop()
+        assert not timer.running
 
 
 class TestBoundedRuns:
@@ -114,60 +125,29 @@ class TestBoundedRuns:
         sim.run_for(10)
         assert sim.now == 20
 
-    def test_stop_halts_loop(self, sim):
-        fired = []
-        sim.schedule(1, sim.stop)
-        sim.schedule(2, fired.append, "never")
-        sim.run()
-        assert fired == []
-        assert sim.pending_events() == 1
-
-    def test_peek_time_skips_cancelled(self, sim):
-        handle = sim.schedule(5, lambda: None)
-        sim.schedule(9, lambda: None)
-        handle.cancel()
-        assert sim.peek_time() == 9
-
-    def test_peek_time_empty(self, sim):
-        assert sim.peek_time() is None
 
 
 class TestTimer:
     def test_fires_after_delay(self, sim):
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(25)
+        timer = armed(sim, 25, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [25]
         assert not timer.running
 
     def test_restart_pushes_expiry_out(self, sim):
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(25)
+        timer = armed(sim, 25, lambda: fired.append(sim.now))
         sim.schedule(10, timer.restart, 25)
         sim.run()
         assert fired == [35]
 
     def test_stop_prevents_fire(self, sim):
         fired = []
-        timer = Timer(sim, lambda: fired.append(1))
-        timer.start(25)
+        timer = armed(sim, 25, lambda: fired.append(1))
         timer.stop()
         sim.run()
         assert fired == []
-
-    def test_double_start_rejected(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(5)
-        with pytest.raises(SimulationError):
-            timer.start(5)
-
-    def test_expiry_time(self, sim):
-        timer = Timer(sim, lambda: None)
-        assert timer.expiry_time is None
-        timer.start(30)
-        assert timer.expiry_time == 30
 
 
 class TestCancellationBookkeeping:
@@ -178,49 +158,50 @@ class TestCancellationBookkeeping:
         return Simulator()
 
     def test_pending_events_counts_live_only(self, sim):
-        handles = [sim.schedule(10 + index, lambda: None)
-                   for index in range(10)]
+        timers = [armed(sim, 10 + index) for index in range(10)]
         assert sim.pending_events() == 10
-        for handle in handles[:4]:
-            handle.cancel()
+        for timer in timers[:4]:
+            timer.stop()
         assert sim.pending_events() == 6
 
     def test_double_cancel_counted_once(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        timer = armed(sim, 10)
         sim.schedule(20, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        timer.stop()
+        timer.stop()
         assert sim.pending_events() == 1
 
     def test_cancel_after_fire_does_not_skew(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        timer = armed(sim, 10)
         sim.run()
-        handle.cancel()  # already fired: a no-op
+        timer.stop()  # already fired: a no-op
         assert sim.pending_events() == 0
+        assert sim._cancelled == 0
 
     def test_run_drains_cancelled_entries(self, sim):
         fired = []
-        live = sim.schedule(50, fired.append, "live")
-        doomed = [sim.schedule(5 + index, fired.append, "doomed")
+        armed(sim, 50, lambda: fired.append(sim.now))
+        doomed = [armed(sim, 5 + index, lambda: fired.append("doomed"))
                   for index in range(20)]
-        for handle in doomed:
-            handle.cancel()
+        for timer in doomed:
+            timer.stop()
         sim.run()
-        assert fired == ["live"]
+        assert fired == [50]
         assert sim.pending_events() == 0
-        assert live.time == 50
+        assert sim._queue == []
 
     def test_heap_compaction_sheds_cancelled_entries(self, sim):
         total = 4 * COMPACT_MIN_CANCELLED
-        handles = [sim.schedule(1000 + index, lambda: None)
-                   for index in range(total)]
+        timers = [armed(sim, 1000 + index) for index in range(total)]
         # Cancel enough that cancelled entries dominate the heap.
-        for handle in handles[: total - 10]:
-            handle.cancel()
-        # The cancels compacted the heap; peek_time pops the cancelled
-        # entries left at its head.
-        sim.peek_time()
-        assert sim.queued_entries() == 10
+        for timer in timers[: total - 10]:
+            timer.stop()
+        # The stops compacted the heap; a run up to the first live
+        # entry pops the dead entries left at its head.
+        assert len(sim._queue) < total - COMPACT_MIN_CANCELLED
+        sim.run(until=1000 + total - 11)
+        assert sim.events_executed == 0
+        assert len(sim._queue) == 10
         assert sim.pending_events() == 10
 
     def test_compaction_preserves_order_and_results(self, sim):
@@ -228,73 +209,80 @@ class TestCancellationBookkeeping:
         keep = []
         total = 4 * COMPACT_MIN_CANCELLED
         for index in range(total):
-            handle = sim.schedule(10 + index, order.append, index)
+            timer = armed(sim, 10 + index,
+                          lambda index=index: order.append(index))
             if index % 16 != 0:
-                handle.cancel()
+                timer.stop()
             else:
                 keep.append(index)
-        sim.peek_time()
         sim.run()
         assert order == keep
 
     def test_cancel_compacts_without_a_run(self, sim):
         total = 4 * COMPACT_MIN_CANCELLED
-        handles = [sim.schedule(10 + index, lambda: None)
-                   for index in range(total)]
+        timers = [armed(sim, 10 + index) for index in range(total)]
         # Keep the earliest events live, so no head pop can shed the
         # cancelled ones: only compaction can.
-        for handle in handles[10:]:
-            handle.cancel()
-            junk = sim.queued_entries() - sim.pending_events()
+        for timer in timers[10:]:
+            timer.stop()
+            junk = len(sim._queue) - sim.pending_events()
             assert junk <= max(COMPACT_MIN_CANCELLED,
-                               sim.queued_entries() // 2)
+                               len(sim._queue) // 2)
         assert sim.pending_events() == 10
-        assert sim.queued_entries() < total - COMPACT_MIN_CANCELLED
+        assert len(sim._queue) < total - COMPACT_MIN_CANCELLED
 
     def test_no_compaction_below_threshold(self, sim):
-        handles = [sim.schedule(10 + index, lambda: None)
-                   for index in range(8)]
-        for handle in handles[2:]:  # keep the heap top live
-            handle.cancel()
-        sim.peek_time()
-        assert sim.queued_entries() == 8  # too few cancellations to bother
+        timers = [armed(sim, 10 + index) for index in range(8)]
+        for timer in timers[2:]:  # keep the heap top live
+            timer.stop()
+        assert len(sim._queue) == 8  # too few cancellations to bother
         assert sim.pending_events() == 2
 
 
 class TestScheduleFast:
-    """Handle-free scheduling: same semantics, no cancellation."""
+    """Handle-free scheduling: ``schedule`` and ``at`` queue a plain
+    ``(time, seq, callback, args)`` entry and return nothing; only a
+    timer can be cancelled."""
 
     def test_returns_none(self, sim):
-        assert sim.schedule_fast(5, lambda: None) is None
+        def callback(*args):
+            pass
+
+        assert sim.schedule(5, callback) is None
+        assert sim.at(7, callback, "x") is None
+        assert sim._queue == [(5, 0, callback, ()), (7, 1, callback, ("x",))]
 
     def test_interleaves_with_handled_events_in_seq_order(self, sim):
         order = []
-        sim.schedule(10, order.append, "a")
-        sim.schedule_fast(10, order.append, "b")
-        sim.schedule(10, order.append, "c")
-        sim.schedule_fast(5, order.append, "first")
+        armed(sim, 10, lambda: order.append("a"))
+        sim.schedule(10, order.append, "b")
+        armed(sim, 10, lambda: order.append("c"))
+        sim.schedule(5, order.append, "first")
         sim.run()
         assert order == ["first", "a", "b", "c"]
 
     def test_rejects_negative_delay(self, sim):
         with pytest.raises(SimulationError):
-            sim.schedule_fast(-1, lambda: None)
+            sim.schedule(-1, lambda: None)
+        # A rejected call queues nothing and takes no seq.
+        assert sim._queue == []
+        assert sim._seq == 0
 
     def test_counts_as_pending(self, sim):
-        sim.schedule_fast(10, lambda: None)
+        sim.schedule(10, lambda: None)
         assert sim.pending_events() == 1
         sim.run()
         assert sim.pending_events() == 0
 
     def test_args_are_passed(self, sim):
         seen = []
-        sim.schedule_fast(1, lambda a, b: seen.append((a, b)), 1, "x")
+        sim.schedule(1, lambda a, b: seen.append((a, b)), 1, "x")
         sim.run()
         assert seen == [(1, "x")]
 
     def test_survives_bounded_run_boundary(self, sim):
         fired = []
-        sim.schedule_fast(100, fired.append, "late")
+        sim.schedule(100, fired.append, "late")
         sim.run(until=50)
         assert fired == []
         sim.run()
@@ -302,10 +290,17 @@ class TestScheduleFast:
 
     def test_fast_events_visible_to_event_hooks(self, sim):
         seen = []
-        sim.add_event_hook(lambda time, cb, args: seen.append(time))
-        sim.schedule_fast(7, lambda: None)
+        sim.add_event_hook(
+            lambda time, cb, args: seen.append((time, cb.__qualname__,
+                                                args)))
+        sim.schedule(7, seen.append, "called")
+        timer = armed(sim, 9)
         sim.run()
-        assert seen == [7]
+        # A timer wake-up reaches hooks as (time, timer._fire, ()), so
+        # replay traces name it ``Timer._fire``.
+        assert seen == [(7, "list.append", ("called",)), "called",
+                        (9, "Timer._fire", ())]
+        assert not timer.running
 
 
 class TestBoundedRunChurn:
@@ -315,12 +310,12 @@ class TestBoundedRunChurn:
     def test_run_for_loop_preserves_entry(self, sim):
         fired = []
         sim.schedule(10_000, fired.append, "late")
-        before = sim.queued_entries()
+        before = list(sim._queue)
         for _ in range(50):
             sim.run_for(100)
         # The out-of-window event was never popped and re-pushed, and no
         # churn entries accumulated.
-        assert sim.queued_entries() == before
+        assert sim._queue == before
         assert fired == []
         sim.run()
         assert fired == ["late"]
@@ -333,48 +328,49 @@ class TestBoundedRunChurn:
         assert sim.now == 50
 
 
-class TestEventHandleOrderingInvariant:
-    """Entries are (time, seq, handle) tuples with unique (time, seq):
-    comparison never reaches the handle, so EventHandle defines no
-    ordering.  This is a regression test for the removal of the dead
-    EventHandle.__lt__ (it could mask a broken-invariant bug)."""
+class TestTimerOrderingInvariant:
+    """Entries are (time, seq, ...) tuples with unique (time, seq):
+    comparison never reaches element 2 or 3, so Timer defines no
+    ordering (an ``__lt__`` could mask a broken-invariant bug)."""
 
-    def test_handles_are_not_orderable(self, sim):
-        a = sim.schedule(1, lambda: None)
-        b = sim.schedule(2, lambda: None)
+    def test_timers_are_not_orderable(self, sim):
+        a = armed(sim, 1)
+        b = armed(sim, 2)
         with pytest.raises(TypeError):
             a < b  # noqa: B015  (the comparison itself is the assertion)
 
     def test_mass_same_tick_fifo(self, sim):
         # If tuple comparison ever reached element 2, this would raise
-        # TypeError (unorderable handles) or scramble FIFO order.
+        # TypeError (None against a callback, unorderable timers) or
+        # scramble FIFO order.
         order = []
         for tag in range(500):
             if tag % 2:
-                sim.schedule(10, order.append, tag)
+                armed(sim, 10, lambda tag=tag: order.append(tag))
             else:
-                sim.schedule_fast(10, order.append, tag)
+                sim.schedule(10, order.append, tag)
         sim.run()
         assert order == list(range(500))
 
 
 class TestTimerEdgeCases:
-    """Satellite coverage: restart storms, expiry_time after stop,
-    double start."""
+    """Restart storms, restarts to earlier deadlines, rejected delays."""
 
     def test_restart_storm_leaves_single_pending_event(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(1_000_000)
+        timer = armed(sim, 1_000_000)
         for _ in range(10_000):
             timer.restart(1_000_000)
         assert sim.pending_events() == 1
-        # Compaction keeps the dead weight bounded: after peek_time()
-        # (and the compaction a cancel triggers once cancelled entries
-        # dominate) cancelled junk is less than half the heap.
-        sim.peek_time()
-        junk = sim.queued_entries() - sim.pending_events()
-        assert junk <= max(COMPACT_MIN_CANCELLED,
-                           sim.queued_entries() // 2 + 1)
+        # Deferred re-arm: a restart to a later deadline queues nothing.
+        assert len(sim._queue) == 1
+        # A storm of restarts to ever earlier deadlines leaves dead
+        # entries; compaction keeps them under half the heap.
+        for delay in range(999_999, 989_999, -1):
+            timer.restart(delay)
+            junk = len(sim._queue) - sim.pending_events()
+            assert junk <= max(COMPACT_MIN_CANCELLED,
+                               len(sim._queue) // 2 + 1)
+        assert sim.pending_events() == 1
 
     def test_restart_storm_fires_exactly_once(self, sim):
         fired = []
@@ -385,56 +381,28 @@ class TestTimerEdgeCases:
         assert fired == [500]
         assert sim.pending_events() == 0
 
-    def test_expiry_time_none_after_stop(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(30)
-        assert timer.expiry_time == 30
-        timer.stop()
-        assert timer.expiry_time is None
-        assert not timer.running
-
-    def test_expiry_time_none_after_fire(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(30)
-        sim.run()
-        assert timer.expiry_time is None
-
-    def test_start_raises_when_running(self, sim):
-        timer = Timer(sim, lambda: None)
-        timer.start(5)
-        with pytest.raises(SimulationError):
-            timer.start(7)
-        # ...but is fine again after stop() and after firing.
-        timer.stop()
-        timer.start(7)
-        sim.run()
-        timer.start(3)
-
     def test_restart_tracks_latest_deadline(self, sim):
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(100)
+        timer = armed(sim, 100, lambda: fired.append(sim.now))
         for delay in (200, 50, 300):
             timer.restart(delay)
-        assert timer.expiry_time == 300
         sim.run()
         assert fired == [300]
+        # The wake-up at 50 chased the deadline to 300: two events.
+        assert sim.events_executed == 2
 
     def test_rejected_restart_leaves_timer_armed(self, sim):
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(100)
+        timer = armed(sim, 100, lambda: fired.append(sim.now))
         with pytest.raises(SimulationError):
             timer.restart(-5)
         assert timer.running
-        assert timer.expiry_time == 100
         sim.run()
         assert fired == [100]
 
     def test_rejected_start_leaves_timer_stopped(self, sim):
         timer = Timer(sim, lambda: None)
         with pytest.raises(SimulationError):
-            timer.start(-1)
+            timer.restart(-1)
         assert not timer.running
-        assert timer.expiry_time is None
         assert sim.pending_events() == 0
