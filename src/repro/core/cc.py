@@ -38,6 +38,10 @@ ECN_CONGESTED_ALPHA = 0.5
 #: Consecutive timeouts on one (pathlet, tc) before the pathlet is
 #: declared failed and excluded from future sends.
 FAILOVER_LOSS_THRESHOLD = 3
+#: The assumed path toward a destination no acknowledgement has named.
+_UNKNOWN_PATH = (UNKNOWN_PATHLET,)
+#: Window of a (pathlet, tc) that has no controller yet.
+_INIT_WINDOW_BYTES = INIT_WINDOW_SEGMENTS * MTP_MAX_PAYLOAD
 
 
 class CongestionController:
@@ -253,7 +257,7 @@ class PathletCcManager:
 
     def path_for(self, dst_address: int) -> Tuple[int, ...]:
         """Assumed path (pathlet ids) toward a destination."""
-        return self._active_path.get(dst_address, (UNKNOWN_PATHLET,))
+        return self._active_path.get(dst_address, _UNKNOWN_PATH)
 
     def learn_path(self, dst_address: int, path: Tuple[int, ...]) -> None:
         """Record the path the network most recently reported."""
@@ -283,7 +287,7 @@ class PathletCcManager:
         """Window of one (pathlet, tc) without creating state."""
         controller = self._controllers.get((pathlet_id, tc))
         if controller is None:
-            return INIT_WINDOW_SEGMENTS * MTP_MAX_PAYLOAD
+            return _INIT_WINDOW_BYTES
         return controller.window()
 
     def inflight(self, pathlet_id: int, tc: str) -> int:
@@ -293,10 +297,19 @@ class PathletCcManager:
     # -- admission ------------------------------------------------------
 
     def can_send(self, dst_address: int, tc: str, nbytes: int) -> bool:
-        """True when every pathlet on the assumed path has window headroom."""
-        for pathlet_id in self.path_for(dst_address):
-            if (self.inflight(pathlet_id, tc) + nbytes
-                    > self.window(pathlet_id, tc)):
+        """True when every pathlet on the assumed path has window headroom.
+
+        :meth:`path_for`, :meth:`inflight` and :meth:`window` inlined: the
+        sender probes this once per packet it tries to send.
+        """
+        controllers = self._controllers
+        inflight = self._inflight
+        for pathlet_id in self._active_path.get(dst_address, _UNKNOWN_PATH):
+            key = (pathlet_id, tc)
+            controller = controllers.get(key)
+            window = (_INIT_WINDOW_BYTES if controller is None
+                      else controller.window())
+            if inflight.get(key, 0) + nbytes > window:
                 return False
         return True
 
@@ -340,14 +353,21 @@ class PathletCcManager:
         ``(pathlet_id, network_tc, Feedback)`` triples in path order.
         """
         if feedback_path:
-            self.learn_path(dst_address,
-                            tuple(pid for pid, _, _ in feedback_path))
+            self.learn_path(dst_address, tuple(
+                [pathlet_id for pathlet_id, _, _ in feedback_path]))
+            controllers = self._controllers
+            inflight = self._inflight
+            consec_losses = self._consec_losses
             for pathlet_id, _network_tc, feedback in feedback_path:
-                controller = self.controller(pathlet_id, tc, feedback)
+                key = (pathlet_id, tc)
+                controller = controllers.get(key)
+                if controller is None:
+                    controller = self.controller(pathlet_id, tc, feedback)
                 controller.on_ack(feedback, acked_bytes, rtt_ns, now,
-                                  inflight=self.inflight(pathlet_id, tc))
+                                  inflight.get(key, 0))
                 # A delivery through this pathlet proves it alive again.
-                self._consec_losses.pop((pathlet_id, tc), None)
+                if consec_losses:
+                    consec_losses.pop(key, None)
         else:
             controller = self.controller(UNKNOWN_PATHLET, tc)
             controller.on_ack(None, acked_bytes, rtt_ns, now,
@@ -389,6 +409,8 @@ class PathletCcManager:
         within a bounded number of RTOs.  The verdict clears the moment an
         acknowledgement arrives through the pathlet again.
         """
+        if not self._consec_losses:
+            return []
         return sorted(
             pathlet_id
             for (pathlet_id, key_tc), losses in self._consec_losses.items()

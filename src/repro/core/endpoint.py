@@ -142,6 +142,9 @@ class MtpEndpoint:
         #: so a round can tell when every queued route is window-blocked.
         self._ready_routes: Dict[int, Dict[Tuple[int, str], int]] = {}
         self._retx_queue: list = []  # (priority, msg_id, pkt_num)
+        #: (dst, tc) routes the latest drain found window-blocked; only
+        #: the drain that closes an ACK reuses it (see ``_handle_ack``).
+        self._blocked: set = set()
         #: FIFO of (send_time, msg_id, pkt_num) for in-flight packets.
         #: Every push happens at ``sim.now``, so push order is time order
         #: and the first valid entry has the earliest send time.  Entries
@@ -192,21 +195,24 @@ class MtpEndpoint:
         """
         if deadline_ns is not None and deadline_ns <= 0:
             raise ValueError("deadline must be positive")
-        message = Message(size, priority=priority,
-                          tc=tc if tc is not None else self.tc,
-                          payload=payload)
-        state = SendState(message, dst_address, dst_port,
-                          on_complete=on_complete, created_at=self.sim.now,
-                          on_failed=on_failed)
-        self._outgoing[message.msg_id] = state
-        self._ready.setdefault(message.priority, deque()).append(
-            message.msg_id)
-        routes = self._ready_routes.setdefault(message.priority, {})
-        routes[state.route] = routes.get(state.route, 0) + 1
+        message = Message(size, priority,
+                          tc if tc is not None else self.tc, payload)
+        msg_id = message.msg_id
+        state = SendState(message, dst_address, dst_port, on_complete,
+                          self.sim.now, on_failed)
+        self._outgoing[msg_id] = state
+        rotation = self._ready.get(priority)
+        if rotation is None:
+            rotation = self._ready[priority] = deque()
+            routes = self._ready_routes[priority] = {}
+        else:
+            routes = self._ready_routes[priority]
+        rotation.append(msg_id)
+        route = state.route
+        routes[route] = routes.get(route, 0) + 1
         self.messages_sent += 1
         if deadline_ns is not None:
-            self.sim.schedule(deadline_ns, self._check_deadline,
-                              message.msg_id)
+            self.sim.schedule(deadline_ns, self._check_deadline, msg_id)
         self._try_send()
         return state
 
@@ -243,14 +249,21 @@ class MtpEndpoint:
         if msg_id in self._outgoing:
             self.abort_message(msg_id, reason="deadline")
 
-    def _try_send(self) -> None:
+    def _try_send(self, blocked: Optional[set] = None) -> None:
         # Retransmissions first: they already consumed window budget once
         # and repairing holes completes messages soonest.  ``blocked`` memos
-        # (dst, tc) routes whose windows are full this round, so the
-        # scheduler does not re-probe the same congested path per message.
-        blocked: set = set()
+        # (dst, tc) routes whose windows are full, so the scheduler does
+        # not re-probe the same congested path per message; without one
+        # the drain starts a fresh memo.  The RTO is armed once per drain
+        # that sent something: every packet of a drain leaves at the same
+        # instant, so the earliest deadline is the same after any of them.
+        if blocked is None:
+            blocked = self._blocked = set()
+        sent = self.data_packets_sent
         self._drain_retransmissions(blocked)
         self._drain_fresh_packets(blocked)
+        if self.data_packets_sent != sent:
+            self._arm_rto()
 
     def _drain_retransmissions(self, blocked: set) -> None:
         if not self._retx_queue:
@@ -274,22 +287,25 @@ class MtpEndpoint:
         # Window-blocked messages are skipped (bounded scan) — messages to
         # other destinations behind them still make progress.
         blocked_scans = 0
-        for priority in sorted(self._ready):
-            rotation = self._ready[priority]
+        max_scans = self.max_blocked_scan
+        outgoing = self._outgoing
+        ready = self._ready
+        for priority in sorted(ready):
+            rotation = ready[priority]
             routes = self._ready_routes[priority]
             blocked_here = 0
             # One full sweep is `len(rotation)` turns with no progress.
             while rotation and blocked_here < len(rotation) \
-                    and blocked_scans < self.max_blocked_scan:
-                if routes.keys() <= blocked:
+                    and blocked_scans < max_scans:
+                if blocked and routes.keys() <= blocked:
                     # Every queued route is blocked: the rest of the scan
                     # could only skip, so take all its skips as one turn.
                     skips = min(len(rotation) - blocked_here,
-                                self.max_blocked_scan - blocked_scans)
+                                max_scans - blocked_scans)
                     rotation.rotate(-skips)
                     blocked_scans += skips
                     break
-                state = self._outgoing[rotation[0]]
+                state = outgoing[rotation[0]]
                 unsent = state.unsent_packets()
                 if state.route not in blocked and self._send_packet(
                         state, state.next_to_send, retransmit=False):
@@ -319,42 +335,45 @@ class MtpEndpoint:
 
     def _send_packet(self, state: SendState, pkt_num: int,
                      retransmit: bool) -> bool:
+        """Send one packet if its window has room; the drain arms the RTO."""
         message = state.message
+        tc = message.tc
+        dst_address = state.dst_address
         pkt_len = message.packet_sizes[pkt_num]
-        if not self.cc.can_send(state.dst_address, message.tc, pkt_len):
+        cc = self.cc
+        if not cc.can_send(dst_address, tc, pkt_len):
             return False
-        header = MtpHeader(KIND_DATA, self.port, state.dst_port,
-                           message.msg_id, priority=message.priority,
-                           msg_len_bytes=message.size,
-                           msg_len_pkts=message.n_packets, pkt_num=pkt_num,
-                           pkt_offset=message.packet_offset(pkt_num),
-                           pkt_len=pkt_len, ts=self.sim.now)
+        now = self.sim.now
+        msg_id = message.msg_id
+        header = MtpHeader(KIND_DATA, self.port, state.dst_port, msg_id,
+                           message.priority, message.size,
+                           message.n_packets, pkt_num,
+                           message.packet_offset(pkt_num), pkt_len, now)
+        exclude = header.path_exclude
         if self.advertise_exclusions:
-            for pathlet_id in self.cc.congested_pathlets(message.tc):
-                header.path_exclude.append((pathlet_id, 0))
+            for pathlet_id in cc.congested_pathlets(tc):
+                exclude.append((pathlet_id, 0))
         # Dead-pathlet failover: pathlets that ate several consecutive
         # RTOs are excluded unconditionally (not gated on the congestion
         # advertisement knob) so exclusion-honouring switches steer the
         # message off the failed resource within a bounded number of RTOs.
-        for pathlet_id in self.cc.failed_pathlets(message.tc):
-            if (pathlet_id, 0) not in header.path_exclude:
-                header.path_exclude.append((pathlet_id, 0))
+        for pathlet_id in cc.failed_pathlets(tc):
+            if (pathlet_id, 0) not in exclude:
+                exclude.append((pathlet_id, 0))
         header.payload = message.payload
-        packet = Packet(self.stack.host.address, state.dst_address,
-                        DEFAULT_HEADER_BYTES + pkt_len, "mtp", header=header,
-                        ecn=ECT_CAPABLE, entity=message.tc,
-                        flow_label=(self.stack.host.address, message.msg_id),
-                        created_at=self.sim.now)
-        path = self.cc.path_for(state.dst_address)
-        self.cc.charge(path, message.tc, pkt_len)
-        state.inflight[pkt_num] = (self.sim.now, retransmit, path)
-        self._send_times.append((self.sim.now, message.msg_id, pkt_num))
+        address = self.stack.host.address
+        packet = Packet(address, dst_address, DEFAULT_HEADER_BYTES + pkt_len,
+                        "mtp", header, ECT_CAPABLE, (address, msg_id), tc,
+                        now)
+        path = cc.path_for(dst_address)
+        cc.charge(path, tc, pkt_len)
+        state.inflight[pkt_num] = (now, retransmit, path)
+        self._send_times.append((now, msg_id, pkt_num))
         if retransmit:
             state.retransmissions += 1
             self.retransmissions += 1
         self.data_packets_sent += 1
         self.stack.send_packet(packet)
-        self._arm_rto()
         return True
 
     # ------------------------------------------------------------------
@@ -362,38 +381,53 @@ class MtpEndpoint:
     # ------------------------------------------------------------------
 
     def _handle_data(self, packet: Packet, header: MtpHeader) -> None:
-        if any(feedback.type == FB_TRIM and feedback.value > 0
-               for _, _, feedback in header.path_feedback):
-            # NDP-style trim: the payload was cut in-network.  NACK for an
-            # immediate repair, echoing the feedback so the sender's
-            # controller treats the trim as a congestion mark.
-            self.send_nack(packet.src, header.src_port, header.msg_id,
-                           header.pkt_num,
-                           feedback_path=header.path_feedback)
-            return
+        for _, _, feedback in header.path_feedback:
+            if feedback.type == FB_TRIM and feedback.value > 0:
+                # NDP-style trim: the payload was cut in-network.  NACK
+                # for an immediate repair, echoing the feedback so the
+                # sender's controller treats the trim as a congestion mark.
+                self.send_nack(packet.src, header.src_port, header.msg_id,
+                               header.pkt_num,
+                               feedback_path=header.path_feedback)
+                return
         key = (packet.src, header.msg_id)
         if key in self._completed:
             self._send_ack(packet, header)  # duplicate of a finished message
+            return
+        now = self.sim.now
+        if header.msg_len_pkts == 1:
+            # A one-packet message (every message of blob mode) completes
+            # on arrival: no partial state to build and tear down.
+            if header.pkt_num:
+                raise ValueError(
+                    f"packet {header.pkt_num} outside message of 1")
+            self._send_ack(packet, header)
+            self._deliver(packet, header, header.msg_len_bytes,
+                          header.priority, now)
             return
         state = self._incoming.get(key)
         if state is None:
             state = ReceiveState(packet.src, header.msg_id,
                                  header.msg_len_bytes, header.msg_len_pkts,
-                                 header.priority, self.sim.now)
+                                 header.priority, now)
             self._incoming[key] = state
         state.add_packet(header.pkt_num, header.pkt_len,
                          payload=header.payload)
         self._send_ack(packet, header)
         if state.complete:
             del self._incoming[key]
-            self._remember_completed(key)
-            self.messages_delivered += 1
-            self.bytes_delivered += state.msg_len_bytes
-            delivered = DeliveredMessage(
-                packet.src, header.src_port, header.msg_id,
-                state.msg_len_bytes, state.priority, header.payload,
-                state.first_seen, self.sim.now)
-            self.on_message(self, delivered)
+            self._deliver(packet, header, state.msg_len_bytes,
+                          state.priority, state.first_seen)
+
+    def _deliver(self, packet: Packet, header: MtpHeader, size: int,
+                 priority: int, first_seen: int) -> None:
+        """Hand a message whose last packet just arrived to the app."""
+        self._remember_completed((packet.src, header.msg_id))
+        self.messages_delivered += 1
+        self.bytes_delivered += size
+        self.on_message(self, DeliveredMessage(
+            packet.src, header.src_port, header.msg_id, size, priority,
+            header.payload, first_seen, self.sim.now))
 
     def _remember_completed(self, key: Tuple[int, int]) -> None:
         self._completed[key] = True
@@ -402,17 +436,16 @@ class MtpEndpoint:
             del self._completed[oldest]
 
     def _send_ack(self, packet: Packet, header: MtpHeader) -> None:
-        ack = MtpHeader(KIND_ACK, self.port, header.src_port, header.msg_id,
-                        ts=self.sim.now, ts_echo=header.ts)
-        ack.sack.append((header.msg_id, header.pkt_num))
+        now = self.sim.now
+        msg_id = header.msg_id
+        ack = MtpHeader(KIND_ACK, self.port, header.src_port, msg_id,
+                        0, 0, 0, 0, 0, 0, now, header.ts)
+        ack.sack.append((msg_id, header.pkt_num))
         ack.ack_path_feedback = list(header.path_feedback)
-        ack_packet = PACKET_POOL.acquire(
-            self.stack.host.address, packet.src, ACK_SIZE,
-            "mtp", header=ack, ecn=ECT_CAPABLE,
-            entity=packet.entity,
-            flow_label=(self.stack.host.address, header.msg_id, "ack"),
-            created_at=self.sim.now)
-        self.stack.send_packet(ack_packet)
+        address = self.stack.host.address
+        self.stack.send_packet(PACKET_POOL.acquire(
+            address, packet.src, ACK_SIZE, "mtp", ack, ECT_CAPABLE,
+            (address, msg_id, "ack"), packet.entity, now))
 
     def send_nack(self, dst_address: int, dst_port: int, msg_id: int,
                   pkt_num: int, feedback_path=None) -> None:
@@ -432,11 +465,21 @@ class MtpEndpoint:
     # ------------------------------------------------------------------
 
     def _handle_ack(self, packet: Packet, header: MtpHeader) -> None:
-        rtt = self.rtt.sample(self.sim.now, header.ts_echo)
+        # Every drain of this ACK shares one blocked-route memo: the one
+        # a completion callback's ``send_message`` ran, then the closing
+        # drain, which skips (and rotates past) the routes the callback's
+        # drain found full instead of probing each again.  An entry that
+        # releases or resizes a window clears the memo.  (A callback that
+        # releases window on another endpoint of this host is not seen.)
+        self._blocked.clear()
+        now = self.sim.now
+        rtt = self.rtt.sample(now, header.ts_echo)
+        outgoing = self._outgoing
         for msg_id, pkt_num in header.sack:
-            state = self._outgoing.get(msg_id)
+            state = outgoing.get(msg_id)
             if state is None or not state.mark_acked(pkt_num):
                 continue
+            self._blocked.clear()
             # A late ACK for a packet an RTO or NACK already released
             # finds no record and releases nothing.
             record = self._release(state, pkt_num)
@@ -444,17 +487,18 @@ class MtpEndpoint:
             # exponential RTO backoff resets (RFC 6298 §5.7 analogue).
             self.rtt.backoff = 0
             state.retry_count.pop(pkt_num, None)
-            self.cc.on_ack(state.dst_address, state.message.tc,
+            message = state.message
+            self.cc.on_ack(state.dst_address, message.tc,
                            header.ack_path_feedback,
-                           state.message.packet_sizes[pkt_num],
-                           None if record and record[1] else rtt,
-                           self.sim.now)
-            if state.complete:
+                           message.packet_sizes[pkt_num],
+                           None if record and record[1] else rtt, now)
+            if len(state.acked) == message.n_packets:
                 self._finish_message(state)
         for msg_id, pkt_num in header.nack:
-            state = self._outgoing.get(msg_id)
+            state = outgoing.get(msg_id)
             if state is None or pkt_num in state.acked:
                 continue
+            self._blocked.clear()
             self._release(state, pkt_num)
             self.nack_repairs += 1
             if header.ack_path_feedback:
@@ -466,7 +510,7 @@ class MtpEndpoint:
             if entry not in self._retx_queue:
                 self._retx_queue.append(entry)
         self._arm_rto()
-        self._try_send()
+        self._try_send(self._blocked)
 
     def _release(self, state: SendState, pkt_num: int) -> Optional[tuple]:
         """Pop a packet's in-flight record and uncharge its path.

@@ -59,12 +59,9 @@ class Message:
         self.tc = tc
         self.payload = payload
         self.packet_sizes = fragment_sizes(size, max_payload)
+        #: Number of packets the message occupies.
+        self.n_packets = len(self.packet_sizes)
         self._max_payload = max_payload
-
-    @property
-    def n_packets(self) -> int:
-        """Number of packets the message occupies."""
-        return len(self.packet_sizes)
 
     def packet_offset(self, pkt_num: int) -> int:
         """Byte offset of packet ``pkt_num`` within the message."""

@@ -386,8 +386,12 @@ class FairShareQueue(QueueDiscipline):
         self._per_entity: Dict[str, int] = {}
 
     def active_entities(self) -> int:
-        """Entities with at least one packet currently queued."""
-        return sum(1 for count in self._per_entity.values() if count > 0)
+        """Entities with at least one packet currently queued.
+
+        Exact because :meth:`_next` deletes an entity's count when it
+        reaches zero.
+        """
+        return len(self._per_entity)
 
     def fair_share(self) -> float:
         """Per-entity fair share of the buffer, in packets."""
@@ -398,9 +402,10 @@ class FairShareQueue(QueueDiscipline):
         if len(self._fifo) >= self.capacity:
             return False
         # Fair share computed as if this packet's entity were active.
-        occupancy = self._per_entity.get(packet.entity, 0)
-        active = self.active_entities() + (1 if occupancy == 0 else 0)
-        share = self.capacity / max(1, active)
+        per_entity = self._per_entity
+        occupancy = per_entity.get(packet.entity, 0)
+        active = len(per_entity) + (1 if occupancy == 0 else 0)
+        share = self.capacity / active
         if occupancy + 1 > share * self.burst_factor:
             return False
         over_share = occupancy + 1 > share
@@ -410,16 +415,19 @@ class FairShareQueue(QueueDiscipline):
             packet.mark_ce()
             self.ecn_marked += 1
         self._fifo.append(packet)
-        self._per_entity[packet.entity] = occupancy + 1
+        per_entity[packet.entity] = occupancy + 1
         return True
 
     def _next(self, now: int) -> Optional[Packet]:
         if not self._fifo:
             return None
         packet = self._fifo.popleft()
-        self._per_entity[packet.entity] -= 1
-        if self._per_entity[packet.entity] == 0:
-            del self._per_entity[packet.entity]
+        per_entity = self._per_entity
+        count = per_entity[packet.entity] - 1
+        if count:
+            per_entity[packet.entity] = count
+        else:
+            del per_entity[packet.entity]
         return packet
 
     def resident(self) -> Iterator[Packet]:

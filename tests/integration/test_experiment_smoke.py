@@ -5,8 +5,11 @@
 drivers honest at tiny scale (wiring, result objects, edge cases).
 """
 
+import collections
+
 import pytest
 
+from repro.core.endpoint import MtpEndpoint
 from repro.experiments import (Fig2Config, Fig3Config, Fig5Config,
                                Fig6Config, Fig7Config, Fig8Config,
                                ablate_message_atomicity,
@@ -129,6 +132,23 @@ class TestFig8Driver:
         assert result.failovers >= 1
         assert result.retransmissions > 0
         assert result.recovery("link_down") is not None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a receiver remembers only its last COMPLETED_MEMORY (4096) "
+        "completions, so a late copy of an older message is delivered "
+        "again; see ROADMAP item 11"))
+    def test_mtp_delivers_each_message_once(self, monkeypatch):
+        deliveries = collections.Counter()
+        deliver = MtpEndpoint._deliver
+
+        def counted(self, packet, header, *args):
+            deliveries[(self.port, packet.src, header.msg_id)] += 1
+            deliver(self, packet, header, *args)
+
+        monkeypatch.setattr(MtpEndpoint, "_deliver", counted)
+        run_fig8("mtp", Fig8Config())
+        assert sum(deliveries.values()) > 19_000
+        assert [key for key, count in deliveries.items() if count > 1] == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,20 @@ def test_fair_share_entity_counts_consistent(ops):
     assert queue.active_entities() == 0
 
 
+@given(operations)
+@settings(max_examples=200)
+def test_fair_share_active_entities_exact(ops):
+    queue = FairShareQueue(capacity=16)
+    for op in ops:
+        if op[0] == "enq":
+            _, entity, size = op
+            queue.enqueue(Packet(1, 2, size, "t", entity=entity, ecn=1), 0)
+        else:
+            queue.dequeue(0)
+        resident = {packet.entity for packet in queue.resident()}
+        assert queue.active_entities() == len(resident)
+
+
 @given(st.lists(st.tuples(entities, packet_sizes), min_size=1,
                 max_size=300))
 @settings(max_examples=100)

@@ -1,12 +1,16 @@
 """The MTP sender's fresh-packet scheduler keeps its send order.
 
-Two checks:
+Three checks:
 
 * pinned digests of every MTP data send in the Figure 5, 6 and 7 MTP
   systems, taken with the original lazy-pop scheduler (Figure 5's
-  re-taken when MTP's timeout became go-back-N);
+  re-taken when MTP's timeout became go-back-N), and in two repair
+  runs: NDP trimming's NACK repairs and fig8's compressed chaos
+  timeline, whose link flap forces go-back-N timeouts;
 * a differential test against :class:`LazyPopScheduler`, a model of that
-  original scheduler, on random enqueue / abort / window-open sequences.
+  original scheduler, on random enqueue / abort / window-open sequences;
+* a count of the window probes in the Figure 7 blob-mode run, which
+  pins the probe that each ACK's closing drain no longer makes.
 """
 
 import hashlib
@@ -16,14 +20,38 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import MtpStack
+from repro.core import MtpStack, PathletCcManager
 from repro.core.endpoint import MtpEndpoint
-from repro.experiments import (Fig5Config, Fig6Config, Fig7Config, run_fig5,
-                               run_fig6, run_fig7)
+from repro.experiments import (Fig5Config, Fig6Config, Fig7Config,
+                               Fig8Config, extensions, run_fig5, run_fig6,
+                               run_fig7, run_fig8)
 from repro.net import Network
-from repro.sim import Simulator, milliseconds
+from repro.offloads import TrimmingQueue
+from repro.sim import Simulator, microseconds, milliseconds
 
 # -- pinned send-log digests -------------------------------------------
+
+
+def _trimming_transfer(sim):
+    """The NDP-trimming extension's 20 KB transfer, on ``sim``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extensions, "Simulator", lambda: sim)
+        return extensions._trimming_transfer(
+            lambda: TrimmingQueue(capacity=8))
+
+
+def _chaos_config():
+    """The compressed fig8 fault timeline of ``test_replay.py``."""
+    return Fig8Config(detection_delay_ns=microseconds(20),
+                      sample_interval_ns=microseconds(25),
+                      flap_down_ns=microseconds(150),
+                      flap_up_ns=microseconds(300),
+                      migrate_ns=microseconds(400),
+                      corrupt_start_ns=microseconds(430),
+                      corrupt_stop_ns=microseconds(480),
+                      corrupt_probability=0.05,
+                      duration_ns=microseconds(600))
+
 
 #: name -> (driver, data sends, events executed, SHA-256 of the send log).
 #: The send log is the repr of the list of
@@ -44,6 +72,15 @@ PINNED = {
             duration_ns=milliseconds(1)), sim=sim),
         3658, 43372,
         "e2a7def40f524953852e67a96856c42545f9033eb9a63b9ded9aff4d63df1ed0"),
+    # Two NACK repairs of trimmed packets.
+    "extensions_trimming_nack": (
+        _trimming_transfer, 16, 67,
+        "44b3f7bb98b3b2482cdedf87a637b79cc040414466d2fe364c0173a211f2f9aa"),
+    # Two go-back-N timeouts across the link flap, 65 retransmissions.
+    "fig8_chaos_mtp": (
+        lambda sim: run_fig8("mtp", _chaos_config(), sim=sim),
+        1675, 19754,
+        "4a5809508cfe373f8011cd13809a2eb95f6863d22d3371b182ceca35a0aabd37"),
 }
 
 
@@ -65,6 +102,30 @@ def test_send_log_digest_pinned(name, monkeypatch):
     driver(sim)
     assert (len(log), sim.events_executed) == (sends, events)
     assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+
+
+def test_one_window_probe_saved_per_ack(monkeypatch):
+    """Blob mode drains twice per ACK: in the completion callback's
+    ``send_message`` and at the end of the ACK.  The second drain reuses
+    the first one's blocked-route memo, so it does not probe the window
+    the first just found full (a separate memo per drain made 13,002
+    probes here, one more per ACK)."""
+    calls = {"can_send": 0, "ack": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(PathletCcManager, "can_send", "can_send")
+    counted(MtpEndpoint, "_handle_ack", "ack")
+    sim = Simulator()
+    run_fig7("fair_share", Fig7Config(duration_ns=milliseconds(1)), sim=sim)
+    assert sim.events_executed == 43372
+    assert (calls["can_send"], calls["ack"]) == (9472, 3530)
 
 
 # -- differential test against the lazy-pop model ----------------------
