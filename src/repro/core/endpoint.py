@@ -10,7 +10,7 @@ trimming) trigger immediate repair of one packet.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net.node import Host
@@ -163,7 +163,10 @@ class MtpEndpoint:
 
         # Receiver state.
         self._incoming: Dict[Tuple[int, int], ReceiveState] = {}
-        self._completed: Dict[Tuple[int, int], bool] = {}
+        #: Keys of recently completed messages, oldest first (a FIFO of
+        #: ``COMPLETED_MEMORY``); an ``OrderedDict`` drops its oldest in
+        #: O(1), where a dict walks the slots deleted before it.
+        self._completed: OrderedDict[Tuple[int, int], bool] = OrderedDict()
 
         # Stats.
         self.messages_sent = 0
@@ -430,10 +433,10 @@ class MtpEndpoint:
             header.payload, first_seen, self.sim.now))
 
     def _remember_completed(self, key: Tuple[int, int]) -> None:
-        self._completed[key] = True
-        if len(self._completed) > COMPLETED_MEMORY:
-            oldest = next(iter(self._completed))
-            del self._completed[oldest]
+        completed = self._completed
+        completed[key] = True
+        if len(completed) > COMPLETED_MEMORY:
+            completed.popitem(last=False)
 
     def _send_ack(self, packet: Packet, header: MtpHeader) -> None:
         now = self.sim.now

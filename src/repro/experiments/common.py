@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import importlib
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core import BlobSender, MtpStack
@@ -220,6 +218,10 @@ def sweep_map(worker: Callable[[_ItemT], _ResultT],
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
+    # Imported here: the pool modules cost resident memory that a
+    # single-process run never uses.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

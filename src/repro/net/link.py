@@ -72,6 +72,11 @@ class Port:
         #: Optional hook called with each packet as it completes serialization
         #: (used by monitors and in-network telemetry).
         self.on_transmit: Optional[Callable[[Packet], None]] = None
+        # The two per-packet event callbacks, bound once instead of once
+        # per packet; their qualnames (the replay event kinds) are the
+        # methods'.
+        self._finish = self._finish_transmission
+        self._arrive = self._deliver
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission; returns False when it was dropped."""
@@ -142,8 +147,7 @@ class Port:
         self.busy_until = sim.now + tx_delay
         # The epoch rides along so a completion scheduled before an
         # outage is recognised as belonging to a dead wire.
-        sim.schedule(tx_delay, self._finish_transmission, packet,
-                     self.down_epoch)
+        sim.schedule(tx_delay, self._finish, packet, self.down_epoch)
 
     def _finish_transmission(self, packet: Packet, epoch: int = -1) -> None:
         sim = self.sim
@@ -159,8 +163,7 @@ class Port:
         if self.on_transmit is not None:
             self.on_transmit(packet)
         # Propagation: packet arrives at the peer after the link delay.
-        sim.schedule(self.delay_ns, self._deliver, packet,
-                     self.down_epoch)
+        sim.schedule(self.delay_ns, self._arrive, packet, self.down_epoch)
         # An empty queue leaves the transmitter idle until the next send.
         # The counters say whether a packet waits without a len() call
         # (enqueued == dequeued + len, the QueueDiscipline invariant).

@@ -230,7 +230,16 @@ class Switch(Node):
         if ledger is not None:
             ledger.packet_arrived(packet, self.name)
         if not self.processors:
-            self.forward(packet)
+            # Fast path: a one-port route goes straight to its port, with
+            # the ledger hook ``forward`` would fire.  Everything else
+            # (no route, exclusions, the selector) takes ``forward``.
+            candidates = self._table.get(packet.dst)
+            if candidates is not None and len(candidates) == 1:
+                if ledger is not None:
+                    ledger.packet_forwarded(packet, self.name)
+                candidates[0].send(packet)
+            else:
+                self.forward(packet)
             return
         packets: List[Packet] = [packet]
         for processor in self.processors:

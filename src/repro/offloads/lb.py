@@ -10,6 +10,7 @@ size" the paper compares against ECMP and packet spraying.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Sequence, Tuple
 
 from ..core.header import KIND_DATA, MtpHeader
@@ -34,8 +35,9 @@ class MessageAwareSelector:
     """
 
     def __init__(self) -> None:
-        #: (src, msg_id) -> assigned Port
-        self._assignments: Dict[Tuple[int, int], Port] = {}
+        #: (src, msg_id) -> assigned Port, oldest assignment first
+        self._assignments: OrderedDict[Tuple[int, int], Port] = \
+            OrderedDict()
         #: id(port) -> bytes assigned but not yet transmitted through it
         self._unserved: Dict[int, int] = {}
         self.messages_assigned = 0
@@ -69,8 +71,7 @@ class MessageAwareSelector:
         if len(self._assignments) > MAX_TRACKED_MESSAGES:
             # Oldest entries correspond to long-finished messages whose last
             # packet we never matched (e.g. retransmitted elsewhere).
-            oldest = next(iter(self._assignments))
-            del self._assignments[oldest]
+            self._assignments.popitem(last=False)
         return port
 
     def _consume_backlog(self, port: Port, nbytes: int) -> None:

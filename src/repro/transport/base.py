@@ -97,11 +97,16 @@ class RtoEstimator:
     @property
     def rto(self) -> int:
         """The current, backed-off retransmission timeout."""
-        if self.srtt is None:
+        # Compared, not ``min``/``max``: this runs for every ACK.
+        srtt = self.srtt
+        if srtt is None:
             base = 4 * self.min_ns
         else:
-            base = max(self.min_ns, self.srtt + 4 * self.rttvar)
-        return min(base << self.backoff, self.max_ns)
+            base = srtt + 4 * self.rttvar
+            if base < self.min_ns:
+                base = self.min_ns
+        base <<= self.backoff
+        return base if base < self.max_ns else self.max_ns
 
     def __repr__(self) -> str:
         return (f"<RtoEstimator srtt={self.srtt} rttvar={self.rttvar} "
@@ -114,6 +119,8 @@ class Runs:
     ``spans`` is a sorted list of disjoint, half-open ``(start, end)``
     tuples with touching spans merged, so it is also the list of blocks
     a receiver reports as received (TCP SACK blocks, QUIC ACK ranges).
+    A TCP sender keeps the ranges it has seen SACKed in one too, and
+    drops those a cumulative ACK covers with :meth:`drop_below`.
     """
 
     __slots__ = ("spans",)
@@ -154,6 +161,17 @@ class Runs:
         if absorbed:
             del spans[:absorbed]
         return point
+
+    def drop_below(self, point: int) -> None:
+        """Drop the spans that end at or below ``point``."""
+        spans = self.spans
+        dropped = 0
+        for _start, end in spans:
+            if end > point:
+                break
+            dropped += 1
+        if dropped:
+            del spans[:dropped]
 
     def __repr__(self) -> str:
         return f"<Runs {self.spans}>"

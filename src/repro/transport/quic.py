@@ -19,7 +19,7 @@ The implementation captures QUIC's transport shape without its crypto:
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.node import Host
@@ -178,7 +178,9 @@ class QuicConnection:
         #: stream_id -> deque of (offset, length, fin) waiting to be sent.
         self._send_queues: Dict[int, deque] = {}
         self._stream_offsets: Dict[int, int] = {}
-        self._sent: Dict[int, Dict] = {}  # pn -> {frames, size, ts}
+        #: pn -> {frames, size, ts}, in send order.  An ``OrderedDict``
+        #: reads its oldest entry in O(1) after ACKs delete the ones before.
+        self._sent: OrderedDict[int, Dict] = OrderedDict()
         self._largest_acked = -1
         self._loss_timer = Timer(self.sim, self._on_loss_timeout)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..net.node import Host
@@ -231,6 +232,16 @@ class TcpConnection:
         #: grows rightward): cumulative ACKs drop a prefix, SACK blocks
         #: bisect to their first segment.
         self._seg_order: List[int] = []
+        #: Byte ranges whose segments are all SACKed.  Spans start and end
+        #: on segment edges, so a SACK block walks only the segments in
+        #: its gaps; cumulative ACKs drop the spans below ``snd_una``.
+        self._sacked = Runs()
+        #: Loss inference has scanned every segment below this seq; see
+        #: :meth:`_process_sack_blocks`.
+        self._scan_point = 0
+        #: ``(retransmit time, seq)`` of retransmissions below the scan
+        #: point that were inside their grace when last seen (a heap).
+        self._in_grace: List[Tuple[int, int]] = []
         #: Sequence numbers marked lost, awaiting retransmission (in order).
         self._lost: Deque[int] = deque()
         #: Bytes believed to be in the network (sent, unacked, not lost).
@@ -360,8 +371,12 @@ class TcpConnection:
     # Segment transmission
     # ------------------------------------------------------------------
 
+    # The per-segment paths below compare instead of calling ``min`` and
+    # ``max``: each builtin call builds an argument tuple and a C call.
+
     def _advertised_window(self) -> int:
-        return max(0, self.recv_buffer - self._unread)
+        window = self.recv_buffer - self._unread
+        return window if window > 0 else 0
 
     # Headers and packets are built with positional arguments: keyword
     # calls cost more, and these run for every segment.
@@ -383,9 +398,10 @@ class TcpConnection:
         self._transmit(self._make_header(flags, seq), 0)
 
     def _send_ack(self, ece: bool = False, ts_echo: int = -1) -> None:
+        window = self.recv_buffer - self._unread
         header = TcpHeader(
             self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt,
-            FLAG_ACK, max(0, self.recv_buffer - self._unread),
+            FLAG_ACK, window if window > 0 else 0,
             ece, self.sim.now, ts_echo, 0, self.meta_id)
         # SACK blocks: runs of out-of-order data, lowest first (RFC 2018).
         header.sack_blocks = self._ooo.spans[:MAX_SACK_BLOCKS]
@@ -398,7 +414,9 @@ class TcpConnection:
             return
         # The effective window: the congestion window, or what is left of
         # the peer's window, which is relative to its cumulative ACK.
-        window = min(self.cwnd, self.peer_ack + self.peer_wnd - self.snd_una)
+        window = self.peer_ack + self.peer_wnd - self.snd_una
+        if self.cwnd < window:
+            window = self.cwnd
         # Retransmissions of marked-lost segments first (in sequence order);
         # always allow progress when the pipe is empty.
         while self._lost:
@@ -412,8 +430,11 @@ class TcpConnection:
                 return
             self._lost.popleft()
             self._retransmit_segment(seq, entry)
+        mss = self.mss
         while self._app_backlog > 0:
-            size = min(self.mss, self._app_backlog)
+            size = self._app_backlog
+            if size > mss:
+                size = mss
             if self._pipe + size > window:
                 break
             self._send_data_segment(self.snd_nxt, size)
@@ -432,12 +453,14 @@ class TcpConnection:
                 self._rto_timer.restart(self.rtt.rto)
 
     def _send_data_segment(self, seq: int, size: int) -> None:
+        window = self.recv_buffer - self._unread
+        now = self.sim.now
         self._transmit(TcpHeader(
             self.local_port, self.remote_port, seq, self.rcv_nxt, FLAG_ACK,
-            max(0, self.recv_buffer - self._unread),
-            False, self.sim.now, -1, size, self.meta_id), size)
+            window if window > 0 else 0,
+            False, now, -1, size, self.meta_id), size)
         self.bytes_sent += size
-        self._segments[seq] = [size, False, self.sim.now, False, False]
+        self._segments[seq] = [size, False, now, False, False]
         self._seg_order.append(seq)
         self._pipe += size
         if not self._rto_timer.running:
@@ -452,11 +475,16 @@ class TcpConnection:
         else:
             header = self._make_header(FLAG_ACK, seq, payload_len=size)
             self._transmit(header, size)
+        now = self.sim.now
         entry[1] = True
-        entry[2] = self.sim.now
+        entry[2] = now
         entry[3] = False
         self._pipe += size
         self.retransmissions += 1
+        if seq < self._scan_point:
+            # Loss inference has passed this segment: it waits out its
+            # grace in the heap instead.
+            heappush(self._in_grace, (now, seq))
         if not self._rto_timer.running:
             self._rto_timer.restart(self.rtt.rto)
 
@@ -470,23 +498,57 @@ class TcpConnection:
         self._lost.append(seq)
         return True
 
-    def _process_sack_blocks(self, blocks: List[Tuple[int, int]]) -> None:
+    def _process_sack_blocks(self, blocks: Sequence[Tuple[int, int]]) -> None:
         """Mark SACKed segments delivered; infer losses below the highest
-        SACK (simplified RFC 6675)."""
+        SACK (simplified RFC 6675).
+
+        The work follows what is new, not the window.  A block walks only
+        the segments in its gaps between the ``_sacked`` spans.  Loss
+        inference resumes at ``_scan_point``: every segment below it is
+        lost, SACKed, or a retransmission still inside its grace, and each
+        of those retransmissions has an entry in the ``_in_grace`` heap.
+        The expired entries are marked first, then the scan goes on from
+        the point; every seq below the point is lower than every seq at or
+        above it, so segments are marked lost in ascending seq order, as a
+        scan from the front would mark them.
+        """
         if not blocks:
             return
         segments = self._segments
         order = self._seg_order
-        # Segments are disjoint and ascending, so ``seq + size`` grows
-        # along ``order`` and each block covers one contiguous run.
+        count = len(order)
+        spans = self._sacked.spans
+        highest = self._highest_sacked
         for start, end in blocks:
-            self._highest_sacked = max(self._highest_sacked, end)
-            for i in range(bisect_left(order, start), len(order)):
+            if end > highest:
+                highest = end
+            # The span holding ``start``, if any, is already SACKed.
+            k = bisect_left(spans, (start + 1,))
+            cursor = start
+            if k and spans[k - 1][1] > start:
+                cursor = spans[k - 1][1]
+                if cursor >= end:
+                    continue
+            # Segments are disjoint and ascending, so ``seq + size`` grows
+            # along ``order``; the block covers one contiguous run of them.
+            first = last = -1
+            i = bisect_left(order, cursor)
+            while i < count:
                 seq = order[i]
+                if k < len(spans) and seq >= spans[k][0]:
+                    # The gap ends at a span SACKed before: skip its
+                    # segments.
+                    i = bisect_left(order, spans[k][1], i)
+                    k += 1
+                    continue
                 entry = segments[seq]
                 size = entry[0]
                 if seq + size > end:
                     break
+                if first < 0:
+                    first = seq
+                last = seq
+                i += 1
                 if entry[4]:
                     continue
                 entry[4] = True
@@ -494,24 +556,49 @@ class TcpConnection:
                     self._pipe -= size
                 else:
                     entry[3] = False  # no need to retransmit after all
+            if first >= 0:
+                self._sacked.add(first, last + segments[last][0])
+        self._highest_sacked = highest
         # Loss inference: an unsacked segment with >= 3 MSS of SACKed data
         # above it is presumed lost (no need to wait for the RTO).
         # Retransmitted segments are only re-presumed lost once an RTT has
         # passed since the retransmission, or the inference would re-mark
         # them on every SACK and churn forever.
-        threshold = self._highest_sacked - 3 * self.mss
         srtt = self.rtt.srtt
         retx_grace = srtt if srtt is not None else self.rtt.min_ns
         now = self.sim.now
         newly_lost = False
-        for seq in order:
+        in_grace = self._in_grace
+        if in_grace and now - in_grace[0][0] > retx_grace:
+            expired = []
+            while in_grace and now - in_grace[0][0] > retx_grace:
+                sent, seq = heappop(in_grace)
+                entry = segments.get(seq)
+                # Stale once acked or retransmitted again; ``_mark_lost``
+                # skips the lost and SACKed ones.
+                if entry is not None and entry[2] == sent:
+                    expired.append(seq)
+            expired.sort()
+            for seq in expired:
+                if self._mark_lost(seq):
+                    newly_lost = True
+        threshold = highest - 3 * self.mss
+        point = self._scan_point
+        for i in range(bisect_left(order, point), count):
+            seq = order[i]
             entry = segments[seq]
-            if seq + entry[0] > threshold:
+            seg_end = seq + entry[0]
+            if seg_end > threshold:
                 break
-            if (not entry[3] and not entry[4]
-                    and (not entry[1] or now - entry[2] > retx_grace)):
+            point = seg_end
+            if entry[3] or entry[4]:
+                continue
+            if not entry[1] or now - entry[2] > retx_grace:
                 self._mark_lost(seq)
                 newly_lost = True
+            else:
+                heappush(in_grace, (entry[2], seq))
+        self._scan_point = point
         if newly_lost and not self._in_recovery:
             self._in_recovery = True
             self._recover = self.snd_nxt
@@ -590,9 +677,10 @@ class TcpConnection:
             # The segment may close the hole below held data.
             end = self.rcv_nxt = self._ooo.advance(seq + size)
             self._deliver(end - seq)
-        elif (seq > rcv_nxt and seq + size - rcv_nxt
-              <= max(self.recv_buffer - self._unread, size)):
-            self._ooo.add(seq, seq + size)
+        elif seq > rcv_nxt:
+            window = self.recv_buffer - self._unread
+            if seq + size - rcv_nxt <= (window if window > size else size):
+                self._ooo.add(seq, seq + size)
         # else: old duplicate (or beyond the window), just re-ACK.
         self._send_ack(packet.ecn == ECT_CE, header.ts)
 
@@ -619,44 +707,60 @@ class TcpConnection:
         # ACK (RFC 5681 §2, condition (e)).
         window_unchanged = header.wnd == self.peer_wnd
         self.peer_wnd = header.wnd
-        if header.ack > self.peer_ack:
-            self.peer_ack = header.ack
+        ack = header.ack
+        if ack > self.peer_ack:
+            self.peer_ack = ack
         if header.sack_blocks:
             self._process_sack_blocks(header.sack_blocks)
-        if header.ack > self.snd_una:
-            newly_acked = header.ack - self.snd_una
-            self._ack_segments(header.ack)
-            self.snd_una = header.ack
+        if ack > self.snd_una:
+            newly_acked = ack - self.snd_una
+            self._ack_segments(ack)
+            self.snd_una = ack
             self._dupacks = 0
             # Forward progress: the retry budget and backoff reset
             # (RFC 6298 §5.7 — a fresh RTT sample below also recomputes
             # the un-backed-off RTO).
             self._consecutive_timeouts = 0
-            rtt_sample = self._sample_rtt(header.ts_echo)
-            self._dctcp_on_ack(newly_acked, header.ece)
+            rtt = self.rtt
+            rtt_sample = rtt.sample(self.sim.now, header.ts_echo)
+            if rtt_sample is not None:
+                rtt.backoff = 0
+                if self._min_rtt is None or rtt_sample < self._min_rtt:
+                    self._min_rtt = rtt_sample
+            if self._ecn == ECT_CAPABLE:
+                self._dctcp_on_ack(newly_acked, header.ece)
             if self.variant == "swift" and rtt_sample is not None:
                 self._swift_on_ack(rtt_sample)
             if self._in_recovery:
-                if self.snd_una >= self._recover:
+                if ack >= self._recover:
                     self._in_recovery = False
                     self.cwnd = self.ssthresh
                 else:
                     # Partial ACK: retransmit the next hole (NewReno).
                     self._retransmit_head()
             elif self.variant != "swift":
-                self._grow_cwnd(newly_acked)
-            if self.snd_una == self.snd_nxt:
+                # Congestion window growth.
+                cwnd = self.cwnd
+                if cwnd < self.ssthresh:
+                    self.cwnd = cwnd + newly_acked  # slow start
+                elif self.ca_growth_hook is not None:
+                    self.ca_growth_hook(self, newly_acked)
+                else:
+                    growth = self.mss * newly_acked // cwnd
+                    self.cwnd = cwnd + (growth if growth > 1 else 1)
+            if ack == self.snd_nxt:
                 self._rto_timer.stop()
             else:
-                self._rto_timer.restart(self.rtt.rto)
+                self._rto_timer.restart(rtt.rto)
             self._try_send()
             if self.on_send_progress is not None:
                 self.on_send_progress(newly_acked)
-        elif (header.ack == self.snd_una and self._pipe > 0
+        elif (ack == self.snd_una and self._pipe > 0
               and header.payload_len == 0 and not header.flags & FLAG_FIN
               and window_unchanged):
             self._dupacks += 1
-            self._dctcp_on_ack(0, header.ece)
+            if self._ecn == ECT_CAPABLE:
+                self._dctcp_on_ack(0, header.ece)
             if self._dupacks == 3 and not self._in_recovery:
                 self._enter_fast_recovery()
             elif self._in_recovery:
@@ -679,14 +783,17 @@ class TcpConnection:
             if not entry[3] and not entry[4]:
                 self._pipe -= entry[0]
         del self._seg_order[:acked]
-
-    def _grow_cwnd(self, newly_acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += newly_acked  # slow start
-        elif self.ca_growth_hook is not None:
-            self.ca_growth_hook(self, newly_acked)
-        else:
-            self.cwnd += max(1, self.mss * newly_acked // self.cwnd)
+        self._sacked.drop_below(ack)
+        in_grace = self._in_grace
+        if len(in_grace) > 2 * len(self._seg_order):
+            # An entry is live only while its segment is unacked and was
+            # last retransmitted at the entry's time, so most of these are
+            # stale: drop them instead of holding them until they expire.
+            segments = self._segments
+            in_grace[:] = [item for item in in_grace
+                           if item[1] in segments
+                           and segments[item[1]][2] == item[0]]
+            heapify(in_grace)
 
     def _enter_fast_recovery(self) -> None:
         self._in_recovery = True
@@ -759,8 +866,7 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _dctcp_on_ack(self, newly_acked: int, ece: bool) -> None:
-        if self.variant != "dctcp":
-            return
+        """DCTCP's per-ACK update; called for ECN-capable connections."""
         self._win_acked += newly_acked
         if ece:
             self._win_marked += newly_acked

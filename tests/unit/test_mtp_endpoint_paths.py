@@ -5,11 +5,14 @@
   in the same ACK.
 * A one-packet message completes on arrival without partial state, and
   duplicates and malformed packets are handled as before.
+* The completed-message memory is a FIFO of the last
+  ``COMPLETED_MEMORY`` keys.
 """
 
 import pytest
 
 from repro.core import KIND_ACK, KIND_DATA, MtpHeader, MtpStack
+from repro.core.endpoint import COMPLETED_MEMORY
 from repro.net import Network, Packet
 from repro.sim import Simulator
 
@@ -169,3 +172,26 @@ class TestOnePacketReceive:
         assert endpoint._incoming == {}
         assert [msg.size for msg in delivered] == [1000]
         assert acks == [(6, 1), (6, 0)]
+
+
+class TestCompletedMemory:
+    def test_keeps_the_last_keys_in_completion_order(self):
+        endpoint, delivered, acks = receiver()
+        total = COMPLETED_MEMORY + 100
+        # Completion order differs from msg_id order.
+        msg_ids = [(7 * index) % total for index in range(total)]
+        for msg_id in msg_ids:
+            data(endpoint, msg_id, 0, 1)
+        assert len(delivered) == total
+        assert list(endpoint._completed) == [
+            (7, msg_id) for msg_id in msg_ids[-COMPLETED_MEMORY:]]
+
+    def test_forgotten_key_is_delivered_again(self):
+        endpoint, delivered, acks = receiver()
+        for msg_id in range(COMPLETED_MEMORY + 1):
+            data(endpoint, msg_id, 0, 1)
+        data(endpoint, 1, 0, 1)  # still remembered: re-ACKed only
+        assert len(delivered) == COMPLETED_MEMORY + 1
+        data(endpoint, 0, 0, 1)  # evicted first
+        assert len(delivered) == COMPLETED_MEMORY + 2
+        assert list(endpoint._completed)[-1] == (7, 0)

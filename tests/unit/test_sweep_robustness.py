@@ -6,9 +6,12 @@ exception propagates as itself either way.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.common import sweep_map
 
 
@@ -58,3 +61,18 @@ class TestSweepMap:
             sweep_map(_boom, list(range(6)), jobs=1)
         with pytest.raises(ValueError, match="bad point 3"):
             sweep_map(_boom, list(range(6)), jobs=3)
+
+
+def test_importing_experiments_leaves_the_pool_modules_out():
+    """A single-process run never pays for the process-pool imports."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [path for path in (env.get("PYTHONPATH"),) if path])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments; print(sorted(name for name in"
+         " ('multiprocessing', 'concurrent.futures') if name in"
+         " sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"

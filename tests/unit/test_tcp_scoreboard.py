@@ -1,13 +1,17 @@
 """The TCP sender's SACK scoreboard keeps its send decisions.
 
-Two checks:
+Three checks:
 
 * pinned digests of every TCP transmission in the Figure 5 and 6 TCP
   systems, taken with the original full-scan scoreboard;
 * a differential test against :func:`full_scan_process_sack_blocks`, the
-  original scoreboard update, on random segment tables and SACK blocks.
+  original scoreboard update, on random segment tables and SACK blocks;
+* the same comparison over random sequences of ACKs, retransmissions,
+  time steps, RTT changes and timeouts, so the state the scoreboard
+  carries from one ACK to the next is checked too.
 """
 
+import functools
 import hashlib
 from collections import deque
 
@@ -19,7 +23,7 @@ from repro.experiments import Fig5Config, Fig6Config, run_fig5, run_fig6
 from repro.net import Network
 from repro.sim import Simulator, milliseconds
 from repro.transport import ConnectionCallbacks, TcpStack
-from repro.transport.tcp import TcpConnection
+from repro.transport.tcp import FLAG_ACK, TcpConnection, TcpHeader
 
 # -- pinned send-log digests -------------------------------------------
 
@@ -229,3 +233,148 @@ def test_scoreboard_matches_full_scan_model(case):
     full_scan_process_sack_blocks(model, blocks)
     assert scoreboard(conn) == scoreboard(model)
     assert conn._seg_order == sorted(conn._segments)
+
+
+# -- differential test over sequences of sender events -----------------
+
+#: The peer's advertised window in the sequence test: never the limit.
+PEER_WND = 1 << 30
+
+
+def twin_connections(segments, state):
+    """Two senders loaded with the same table: the first keeps the
+    incremental scoreboard, the second runs the full scan on every SACK.
+    Returns them with the send logs of each."""
+    twins = []
+    for full_scan in (False, True):
+        conn = loaded_connection(segments, state)
+        conn.state = "established"
+        conn.peer_ack = conn.snd_una
+        conn.peer_wnd = PEER_WND
+        conn.max_retries = 1 << 30
+        log = []
+        conn.stack.send_packet = lambda packet, log=log: log.append(
+            (packet.header.seq, packet.header.payload_len,
+             packet.header.flags))
+        if full_scan:
+            conn._process_sack_blocks = functools.partial(
+                full_scan_process_sack_blocks, conn)
+        twins.append((conn, log))
+    return twins
+
+
+def ack_header(ack, blocks):
+    header = TcpHeader(80, 10_001, 1, ack, FLAG_ACK, PEER_WND)
+    header.sack_blocks = blocks
+    return header
+
+
+@st.composite
+def event_sequences(draw):
+    """A loaded table (as :func:`scoreboards` draws it) and up to 25
+    sender events, each a ``(kind, argument)`` pair.
+
+    Blocks and ACKs are drawn on the table's segment edges, on the edges
+    of full segments of new data above it, and anywhere in between.
+    """
+    segments, _blocks, state = draw(scoreboards())
+    snd_nxt = state["snd_nxt"]
+    edges = sorted(set(segments) | {s + e[0] for s, e in segments.items()}
+                   | {state["snd_una"]}
+                   | {snd_nxt + 1460 * i for i in range(8)})
+    point = st.sampled_from(edges) | st.integers(state["snd_una"] - 1500,
+                                                 snd_nxt + 1460 * 8)
+
+    def blocks():
+        drawn = []
+        for _ in range(draw(st.integers(1, 4))):
+            start, end = sorted((draw(point), draw(point)))
+            drawn.append((start, max(end, start + 1)))
+        return drawn
+
+    steps = []
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(("sack", "sack", "sack", "ack", "send",
+                                     "data", "time", "time", "srtt",
+                                     "rto")))
+        if kind == "sack":
+            argument = blocks()
+        elif kind == "ack":
+            argument = (draw(point), blocks() if draw(st.booleans())
+                        else [])
+        elif kind == "data":
+            argument = draw(st.integers(1, 4 * 1460))
+        elif kind == "time":
+            argument = draw(st.sampled_from((1, 5_000, 20_000, 200_001))
+                            | st.integers(1, 400_000))
+        elif kind == "srtt":
+            argument = draw(st.none() | st.sampled_from((1, 10_000))
+                            | st.integers(1, NOW))
+        else:
+            argument = None
+        steps.append((kind, argument))
+    return segments, state, steps
+
+
+def apply_step(conn, kind, argument):
+    if kind == "sack":
+        conn._handle_ack(ack_header(conn.snd_una, argument))
+    elif kind == "ack":
+        # A cumulative ACK lands between ``snd_una`` and ``snd_nxt``.
+        ack, blocks = argument
+        ack = min(max(ack, conn.snd_una), conn.snd_nxt)
+        conn._handle_ack(ack_header(ack, blocks))
+    elif kind == "send":
+        conn._try_send()
+    elif kind == "data":
+        conn.send(argument)
+    elif kind == "time":
+        conn.sim.run(until=conn.sim.now + argument)
+    elif kind == "srtt":
+        conn.rtt.srtt = argument
+    else:
+        conn._on_rto()
+
+
+#: Ten full segments from seq 1000, none lost, SACKed or retransmitted,
+#: with a 10 us smoothed RTT (the retransmission grace).
+TEN_SEGMENTS = {1000 + 1460 * i: [1460, False, 0, False, False]
+                for i in range(10)}
+TEN_FRESH = dict(FRESH, snd_nxt=15_600, srtt=10_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_sequences())
+# SACKing the top marks segments lost and recovery retransmits them below
+# the scan point; once their grace has passed, a SACK marks them lost
+# again.
+@example((TEN_SEGMENTS, TEN_FRESH,
+          [("sack", [(14_140, 15_600)]), ("time", 20_000),
+           ("sack", [(12_680, 15_600)])]))
+# A retransmission still inside its grace when the scan passes it is
+# marked lost by a SACK after the grace.
+@example(({1000: [1460, True, NOW, False, False],
+           2460: [1460, False, 0, False, False],
+           3920: [1460, False, 0, False, False],
+           5380: [1460, False, 0, False, False],
+           6840: [1460, False, 0, False, False]},
+          dict(FRESH, srtt=10_000),
+          [("sack", [(5380, 8300)]), ("time", 20_000),
+           ("sack", [(5380, 8300)])]))
+# A cumulative ACK leaves one retransmission among mostly stale heap
+# entries; dropping the stale ones keeps it, and a SACK after its grace
+# marks it lost.
+@example(({1000 + 1460 * i: [1460, False, 0, False, False]
+           for i in range(20)},
+          dict(TEN_FRESH, snd_nxt=30_200, _in_recovery=True),
+          [("sack", [(28_740, 30_200)]), ("ack", (24_360, [])),
+           ("time", 20_000), ("sack", [(28_740, 30_200)])]))
+def test_scoreboard_matches_full_scan_over_event_sequences(case):
+    segments, state, steps = case
+    (conn, sent), (model, model_sent) = twin_connections(segments, state)
+    for kind, argument in steps:
+        apply_step(conn, kind, argument)
+        apply_step(model, kind, argument)
+        assert scoreboard(conn) == scoreboard(model), kind
+        assert sent == model_sent, kind
+        assert conn._seg_order == sorted(conn._segments)
