@@ -90,7 +90,9 @@ def main() -> None:
             server.put(f"key{key_index}", f"value{key_index}",
                        value_size=1500)
 
-    def issue(count=[0]):
+    count = [0]
+
+    def issue():
         if count[0] >= N_REQUESTS:
             return
         count[0] += 1

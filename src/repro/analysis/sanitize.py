@@ -113,7 +113,7 @@ def audit_queue(queue: QueueDiscipline, name: str = "queue") -> List[str]:
     contract):
 
     * ``packets_enqueued − packets_dequeued == len(queue)``
-    * resident packets (when enumerable) match ``len(queue)`` and their
+    * resident packets match ``len(queue)`` and their
       sizes sum to ``bytes_queued``
     * no counter is negative
     """
@@ -130,20 +130,16 @@ def audit_queue(queue: QueueDiscipline, name: str = "queue") -> List[str]:
         value = getattr(queue, counter)
         if value < 0:
             problems.append(f"{name}: negative counter {counter}={value}")
-    try:
-        residents = list(queue.resident())
-    except NotImplementedError:
-        residents = None
-    if residents is not None:
-        if len(residents) != len(queue):
-            problems.append(
-                f"{name}: resident() yields {len(residents)} packets "
-                f"but len(queue) = {len(queue)}")
-        resident_bytes = sum(packet.size for packet in residents)
-        if resident_bytes != queue.bytes_queued:
-            problems.append(
-                f"{name}: resident bytes {resident_bytes} != "
-                f"bytes_queued {queue.bytes_queued}")
+    residents = list(queue.resident())
+    if len(residents) != len(queue):
+        problems.append(
+            f"{name}: resident() yields {len(residents)} packets "
+            f"but len(queue) = {len(queue)}")
+    resident_bytes = sum(packet.size for packet in residents)
+    if resident_bytes != queue.bytes_queued:
+        problems.append(
+            f"{name}: resident bytes {resident_bytes} != "
+            f"bytes_queued {queue.bytes_queued}")
     return problems
 
 
@@ -303,25 +299,19 @@ class PacketLedger:
         """
         drained = sim is not None and sim.pending_events() == 0
         resident_uids = set()
-        unaudited: set = set()
         accounting: List[str] = []
         trimmed = 0
         for port in self._ports:
             queue = port.queue
             trimmed += getattr(queue, "packets_trimmed", 0)
             accounting.extend(audit_queue(queue, name=port.name))
-            try:
-                for packet in queue.resident():
-                    resident_uids.add(packet.uid)
-            except NotImplementedError:
-                unaudited.add(f"queued@{port.name}")
+            for packet in queue.resident():
+                resident_uids.add(packet.uid)
         leaked: List[Tuple[int, str]] = []
         for uid in sorted(self._live):
             location = self._live[uid]
             if uid in resident_uids:
                 continue
-            if location in unaudited:
-                continue  # cannot enumerate that queue; benefit of doubt
             if not drained and (location.startswith("wire:")
                                 or location.startswith("node:")):
                 continue  # still travelling in a bounded run

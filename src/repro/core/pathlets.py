@@ -156,13 +156,12 @@ class PathletAnnotator:
         self.pathlet_id = pathlet_id
         self.source = source
         self.tc_classifier = tc_classifier or (lambda packet: 0)
-        self._chained = port.on_transmit
+        if port.on_transmit is not None:
+            raise ValueError(f"port {port.name} already has a transmit hook")
         port.on_transmit = self._on_transmit
         self.packets_annotated = 0
 
     def _on_transmit(self, packet: Packet) -> None:
-        if self._chained is not None:
-            self._chained(packet)
         if packet.protocol != "mtp":
             return
         header: MtpHeader = packet.header

@@ -1,5 +1,5 @@
-"""Ablations of MTP's design choices (DESIGN.md section "Key design
-decisions").
+"""Ablations of MTP's design choices (docs/ARCHITECTURE.md section "Key
+design decisions").
 
 * **Pathlet granularity** — per-link pathlets vs one global pathlet on the
   Figure-5 scenario.  One pathlet means one shared window: MTP degrades to

@@ -37,6 +37,10 @@ class QueueDiscipline:
     :class:`DropTailQueue` does, if it keeps the same counters.  Ports
     rely on the second invariant: they test for a waiting packet with
     ``packets_enqueued != packets_dequeued``.
+
+    Every discipline must also implement :meth:`resident` and
+    ``__len__``: the packet-conservation sanitizer enumerates each
+    queue's packets and raises on one that cannot.
     """
 
     def __init__(self) -> None:
@@ -78,9 +82,9 @@ class QueueDiscipline:
     def resident(self) -> Iterator[Packet]:
         """Iterate the packets currently held, in deterministic order.
 
-        Used by the packet-conservation sanitizer
-        (:mod:`repro.analysis.sanitize`) to distinguish "still queued" from
-        "leaked"; custom disciplines should implement it.
+        Required: the packet-conservation sanitizer
+        (:mod:`repro.analysis.sanitize`) uses it to tell "still queued"
+        from "leaked".
         """
         raise NotImplementedError
 

@@ -41,6 +41,9 @@ MAX_PAYLOAD = 1460
 MAX_PTO_NS = microseconds(500_000)
 #: Initial congestion window in packets.
 INIT_CWND_SEGMENTS = 10
+#: Received packet-number spans an ACK carries (the newest ones); a
+#: receiver keeps no older span, since no ACK could report it again.
+ACK_SPANS = 8
 
 
 class QuicHeader:
@@ -292,7 +295,7 @@ class QuicConnection:
     def _send_ack(self, ts_echo: int) -> None:
         header = QuicHeader(self.connection_id, self._take_pn(),
                             ts=self.sim.now, ts_echo=ts_echo)
-        header.ack_ranges = self._received.spans[-8:]
+        header.ack_ranges = self._received.spans[-ACK_SPANS:]
         self._transmit(header, DEFAULT_HEADER_BYTES)
 
     # -- receiving ------------------------------------------------------------
@@ -322,7 +325,11 @@ class QuicConnection:
             self._handle_acks(header)
         if header.stream_frames:
             pn = header.packet_number
-            self._received.add(pn, pn + 1)
+            received = self._received
+            received.add(pn, pn + 1)
+            spans = received.spans
+            if len(spans) > ACK_SPANS:
+                received.drop_below(spans[-ACK_SPANS][0])
             self._deliver_frames(header)
             self._send_ack(header.ts)
 

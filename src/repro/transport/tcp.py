@@ -218,7 +218,6 @@ class TcpConnection:
         self.snd_una = 0
         self.snd_nxt = 0
         self.cwnd = INIT_CWND_SEGMENTS * mss
-        self.init_cwnd = INIT_CWND_SEGMENTS * mss
         self.ssthresh = UNLIMITED_WINDOW
         self.peer_wnd = mss  # until first ACK tells us better
         self.peer_ack = 0

@@ -3,6 +3,8 @@ packet-conservation ledger (clean runs, accounted drops, injected leaks,
 offloads that consume and inject packets, and fig2/fig5 runs).
 """
 
+from collections import deque
+
 import pytest
 
 from repro.analysis import (PacketLedger, SanitizerError, SanitizingSimulator,
@@ -11,7 +13,8 @@ from repro.apps import KvsClient, KvsServer
 from repro.core import EcnFeedbackSource, MtpStack, PathletRegistry
 from repro.experiments.fig2_proxy import Fig2Config, run_fig2
 from repro.experiments.fig5_multipath import Fig5Config, run_fig5
-from repro.net import DropTailQueue, Network, PacketSpraySelector
+from repro.net import (DropTailQueue, Network, PacketSpraySelector,
+                       QueueDiscipline)
 from repro.net.packet import Packet
 from repro.offloads import (AggregationOffload, GradientChunk, InNetworkCache,
                             TcpMtpGateway)
@@ -191,6 +194,24 @@ class LeakyQueue(DropTailQueue):
         return super().enqueue(packet, now)
 
 
+class UnlistedQueue(QueueDiscipline):
+    """A FIFO that cannot enumerate its packets: no ``resident()``."""
+
+    def __init__(self):
+        super().__init__()
+        self._fifo = deque()
+
+    def _admit(self, packet, now):
+        self._fifo.append(packet)
+        return True
+
+    def _next(self, now):
+        return self._fifo.popleft() if self._fifo else None
+
+    def __len__(self):
+        return len(self._fifo)
+
+
 class TestPacketLedger:
     def test_clean_run_conserves(self):
         sim = Simulator()
@@ -263,6 +284,18 @@ class TestPacketLedger:
         report = sim.ledger.finalize(sim)
         assert report.ok
         assert report.in_flight == 1
+
+    def test_queue_without_resident_is_not_excused(self):
+        sim = Simulator()
+        sim.ledger = PacketLedger()
+        _, sender, receiver, sink = build_pair(
+            sim, queue_factory=UnlistedQueue)
+        for _ in range(5):
+            sender.send(make_packet(sender, receiver))
+        sim.run(until=500)  # four packets still wait in the sender's queue
+        assert len(sender.ports[0].queue) == 4
+        with pytest.raises(NotImplementedError):
+            sim.ledger.finalize(sim)
 
 
 def build_star(sim, n_hosts):

@@ -157,6 +157,27 @@ class TestLossRecovery:
         assert received[0] == 400_000
         assert conn.packets_lost > 0
 
+    def test_receiver_keeps_only_spans_an_ack_can_carry(self, sim):
+        # 51 losses leave 18 gaps in the server's received packet
+        # numbers; an ACK reports only the last 8 spans.
+        net, a, b, stack_a, stack_b = quic_pair(sim, rate=mbps(100),
+                                                queue_capacity=8)
+        servers, received = [], [0]
+
+        def accept(conn):
+            servers.append(conn)
+            return ConnectionCallbacks(
+                on_data=lambda c, n: received.__setitem__(0, received[0] + n))
+
+        stack_b.listen(443, accept)
+        conn = stack_a.connect(b.address, 443, ConnectionCallbacks(
+            on_connected=lambda c: c.send_message(2_000_000)))
+        sim.run(until=milliseconds(2000))
+        assert received[0] == 2_000_000
+        assert conn.packets_lost == 51
+        assert sim.events_executed == 6111
+        assert len(servers[0]._received.spans) == 8
+
     def test_packet_numbers_monotone(self, sim):
         net, a, b, stack_a, stack_b = quic_pair(sim, rate=mbps(100),
                                                 queue_capacity=8)

@@ -53,6 +53,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register(port, EcnFeedbackSource())
 
+    def test_port_with_a_transmit_hook_rejected(self, sim):
+        # One annotator per port: a second registry cannot stack another.
+        net, a, b, port = linked_hosts(sim)
+        PathletRegistry(sim).register(port, EcnFeedbackSource())
+        with pytest.raises(ValueError, match="transmit hook"):
+            PathletRegistry(sim).register(port, EcnFeedbackSource())
+
     def test_grouping_ports_into_one_pathlet(self, sim):
         net, a, b, port = linked_hosts(sim)
         registry = PathletRegistry(sim)
