@@ -13,6 +13,10 @@ Three coordinated layers keep benchmark numbers reproducible:
 * :mod:`repro.analysis.replay` — a replay-divergence detector that runs an
   experiment twice with the same seed, hashes the event trace, and reports
   the first divergent event — a race detector for hidden nondeterminism.
+
+:class:`~repro.analysis.ties.TieShuffleSimulator` runs same-nanosecond
+events in a seeded random order, so a result can be checked against the
+spread that the order alone causes.
 """
 
 from .lint import (Finding, LintConfig, format_findings, format_findings_json,
@@ -22,12 +26,14 @@ from .replay import (Divergence, EventTrace, ReplayReport, check_replay,
 from .rules import RULE_CATALOGUE, all_rules
 from .sanitize import (ConservationReport, PacketLedger, SanitizerError,
                        SanitizingSimulator, audit_network_queues, audit_queue)
+from .ties import TieShuffleSimulator
 
 __all__ = [
     "Finding", "LintConfig", "lint_source", "lint_file", "lint_paths",
     "format_findings", "format_findings_json",
     "all_rules", "RULE_CATALOGUE",
-    "SanitizerError", "SanitizingSimulator", "PacketLedger",
+    "SanitizerError", "SanitizingSimulator", "TieShuffleSimulator",
+    "PacketLedger",
     "ConservationReport", "audit_queue", "audit_network_queues",
     "EventTrace", "Divergence", "ReplayReport", "trace_run",
     "find_divergence", "check_replay",

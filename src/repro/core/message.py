@@ -51,6 +51,9 @@ class Message:
         payload: opaque application object, visible to in-network offloads.
     """
 
+    __slots__ = ("msg_id", "size", "priority", "tc", "payload",
+                 "packet_sizes", "n_packets", "_max_payload")
+
     def __init__(self, size: int, priority: int = 0, tc: str = "default",
                  payload: Any = None, max_payload: int = MTP_MAX_PAYLOAD):
         self.msg_id = next(_message_ids)
@@ -78,6 +81,11 @@ class Message:
 
 class SendState:
     """Sender-side tracking for one in-flight message."""
+
+    __slots__ = ("message", "dst_address", "dst_port", "route",
+                 "on_complete", "on_failed", "created_at", "completed_at",
+                 "failed", "fail_reason", "next_to_send", "acked",
+                 "inflight", "retry_count", "retransmissions")
 
     def __init__(self, message: Message, dst_address: int, dst_port: int,
                  on_complete=None, created_at: int = 0,

@@ -5,6 +5,14 @@ egress queue and the transmitter for the outgoing direction.  A
 :class:`Link` bundles the two ports of a full-duplex connection.  Transmission
 models store-and-forward: a packet occupies the transmitter for its
 serialization time, then arrives at the peer after the propagation delay.
+
+A hop costs one kernel event when the port is idle.  When a port with no
+``on_transmit`` hook starts a packet, it schedules the arrival at
+``start + serialization + propagation`` at once; a wake event at the end
+of serialization is queued only when another packet waits for the
+transmitter.  A port with a hook keeps two events per hop, because the
+hook runs when serialization ends: a finish event, which schedules the
+arrival.
 """
 
 from __future__ import annotations
@@ -52,10 +60,20 @@ class Port:
             sim.ledger.register_port(self)
         self.peer: Optional["Node"] = None
         self.peer_port: Optional["Port"] = None
-        self._busy = False
+        #: True while a queued event (the finish or the wake) will start
+        #: the next packet, so a send need not.
+        self._start_pending = False
+        #: Counted when serialization starts on a port without a hook,
+        #: and when it ends on a port with one; a frame cut by an outage
+        #: is never counted.
         self.bytes_transmitted = 0
         self.packets_transmitted = 0
+        #: When the transmitter is free: the end of the current frame's
+        #: serialization.
         self.busy_until = 0
+        #: Size of the last frame started on a port without a hook,
+        #: taken back from the counters when an outage cuts it.
+        self._tx_size = 0
         #: Serialization delay by packet size: ``transmission_delay`` at
         #: this port's fixed rate, computed once per distinct size.
         self._tx_delays: Dict[int, int] = {}
@@ -70,13 +88,15 @@ class Port:
         #: Packets refused or lost because the link was down.
         self.link_down_drops = 0
         #: Optional hook called with each packet as it completes serialization
-        #: (used by monitors and in-network telemetry).
+        #: (used by monitors and in-network telemetry).  Set it before
+        #: traffic starts: it selects the two-event hop.
         self.on_transmit: Optional[Callable[[Packet], None]] = None
-        # The two per-packet event callbacks, bound once instead of once
-        # per packet; their qualnames (the replay event kinds) are the
+        # The per-packet event callbacks, bound once instead of once per
+        # packet; their qualnames (the replay event kinds) are the
         # methods'.
         self._finish = self._finish_transmission
         self._arrive = self._deliver
+        self._wake_up = self._wake
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission; returns False when it was dropped."""
@@ -97,8 +117,13 @@ class Port:
                 ledger.packet_enqueued(packet, self.name)
             else:
                 ledger.packet_dropped(packet, self.name, "queue_full")
-        if accepted and not self._busy:
-            self._transmit_next()
+        if accepted and not self._start_pending:
+            if sim.now >= self.busy_until:
+                self._transmit_next()
+            else:
+                # The transmitter is busy and nothing will restart it.
+                self._start_pending = True
+                sim.at(self.busy_until, self._wake_up, self.down_epoch)
         return accepted
 
     def set_down(self) -> None:
@@ -106,20 +131,28 @@ class Port:
 
         Packets already queued stay resident (they will transmit when the
         link comes back); the packet currently serializing and any packet
-        propagating on the wire are dropped when their completion events
-        fire and notice the stale epoch.
+        propagating on the wire are dropped when their arrival events (or,
+        on a hooked port, the finish event) fire and notice the stale
+        epoch.
         """
         if not self.up:
             return
         self.up = False
         self.down_epoch += 1
+        if self.on_transmit is None and self.sim.now < self.busy_until:
+            # The frame on the transmitter was counted when it started,
+            # but it never finishes.
+            self.bytes_transmitted -= self._tx_size
+            self.packets_transmitted -= 1
 
     def set_up(self) -> None:
         """Bring the port back up and resume draining the egress queue."""
         if self.up:
             return
         self.up = True
-        self._busy = False
+        # The frame the outage cut no longer holds the transmitter.
+        self.busy_until = self.sim.now
+        self._start_pending = False
         self._transmit_next()
 
     @property
@@ -128,28 +161,54 @@ class Port:
         return len(self.queue)
 
     def _transmit_next(self) -> None:
+        """Start the head-of-queue packet on an idle transmitter."""
         if not self.up:
-            self._busy = False
+            self._start_pending = False
             return
         sim = self.sim
-        packet = self.queue.dequeue(sim.now)
+        queue = self.queue
+        packet = queue.dequeue(sim.now)
         if packet is None:
-            self._busy = False
+            self._start_pending = False
             return
         if sim.ledger is not None:
             sim.ledger.packet_wire(packet, self.name)
-        self._busy = True
         size = packet.size
         tx_delay = self._tx_delays.get(size)
         if tx_delay is None:
             tx_delay = transmission_delay(size, self.rate_bps)
             self._tx_delays[size] = tx_delay
         self.busy_until = sim.now + tx_delay
-        # The epoch rides along so a completion scheduled before an
-        # outage is recognised as belonging to a dead wire.
-        sim.schedule(tx_delay, self._finish, packet, self.down_epoch)
+        # The epoch rides along so an event scheduled before an outage
+        # is recognised as belonging to a dead wire.
+        epoch = self.down_epoch
+        if self.on_transmit is not None:
+            self._start_pending = True
+            sim.schedule(tx_delay, self._finish, packet, epoch)
+            return
+        self.bytes_transmitted += size
+        self.packets_transmitted += 1
+        self._tx_size = size
+        sim.schedule(tx_delay + self.delay_ns, self._arrive, packet, epoch)
+        # The counters say whether a packet waits without a len() call
+        # (enqueued == dequeued + len, the QueueDiscipline invariant).
+        if queue.packets_enqueued != queue.packets_dequeued:
+            self._start_pending = True
+            sim.schedule(tx_delay, self._wake_up, epoch)
+        else:
+            self._start_pending = False
+
+    def _wake(self, epoch: int) -> None:
+        """The transmitter is free and a packet waits: start it.
+
+        A wake from before an outage does nothing: ``set_up`` restarted
+        the transmitter itself.
+        """
+        if epoch == self.down_epoch:
+            self._transmit_next()
 
     def _finish_transmission(self, packet: Packet, epoch: int = -1) -> None:
+        """End of serialization on a port with an ``on_transmit`` hook."""
         sim = self.sim
         if epoch != self.down_epoch or not self.up:
             # The link dropped while this packet was serializing: the
@@ -171,12 +230,14 @@ class Port:
         if queue.packets_enqueued != queue.packets_dequeued:
             self._transmit_next()
         else:
-            self._busy = False
+            self._start_pending = False
 
     def _deliver(self, packet: Packet, epoch: int = -1) -> None:
         assert self.peer is not None and self.peer_port is not None
         if epoch != self.down_epoch or not self.up:
-            # The link went down mid-propagation: the bits never arrive.
+            # The link went down after the packet started: mid-propagation,
+            # or mid-serialization on a port without a hook.  The bits
+            # never arrive.
             self.link_down_drops += 1
             if self.sim.ledger is not None:
                 self.sim.ledger.packet_dropped(packet, self.name,

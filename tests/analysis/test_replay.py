@@ -201,35 +201,35 @@ PINNED_TRACES = {
     "fig2-200us": (
         lambda sim: run_fig2(Fig2Config(duration_ns=microseconds(200)),
                              sim=sim),
-        7673, "e48e344c3c5cca3127b9721791675920"),
+        5748, "ecee080bb529cdc0c1c8e71f1d89a09b"),
     "fig5-dctcp-300us": (
         lambda sim: run_fig5("dctcp",
                              Fig5Config(duration_ns=microseconds(300)),
                              sim=sim),
-        28020, "f44ab1de1d8bc99285ac98e77857e5a7"),
+        16345, "aa691a256bc9056cf087b79a827a9949"),
     "fig5-mtp-300us": (
         lambda sim: run_fig5("mtp",
                              Fig5Config(duration_ns=microseconds(300)),
                              sim=sim),
-        28571, "6385db0cc3e7527384f4fe8746316c8f"),
+        19065, "82a168f2f73cda5301bb92a4a3890e69"),
     "fig6-ecmp-1300us": (
-        _fig6("ecmp"), 35404, "79f707bc9553e08b714b6a55f61806eb"),
+        _fig6("ecmp"), 22491, "3c0fbfd6d9f37a8a71119fccbe467dcd"),
     "fig6-spray-1300us": (
-        _fig6("spray"), 62836, "4b5737b92d005e830ac5cb3ab2270364"),
+        _fig6("spray"), 44371, "ac9b54d653fa89cc48873a94c5a83066"),
     "fig6-mtp_lb-1300us": (
-        _fig6("mtp_lb"), 34776, "90fdb084b37323cbe17c8eb2766bfd4c"),
+        _fig6("mtp_lb"), 22701, "e838d5b51f258950e1e556da59cb8310"),
     "fig7-fair_share-300us": (
         lambda sim: run_fig7("fair_share",
                              Fig7Config(duration_ns=microseconds(300),
                                         warmup_ns=microseconds(100)),
                              sim=sim),
-        8717, "42cfcc7b0b0938c777da036cfbc758ec"),
+        5239, "9738eb6efd439a3c93d1876bb1cd1996"),
     "fig8-chaos-dctcp-600us": (
         lambda sim: run_fig8("dctcp", _chaos_config(), sim=sim),
-        14769, "436d464e519790f59e80c64b536d8cfa"),
+        8611, "bb43a9eb0b0951e045a239493efb2d4a"),
     "fig8-chaos-mtp-600us": (
         lambda sim: run_fig8("mtp", _chaos_config(), sim=sim),
-        19754, "327e86ac38dc99ca144081483a35c51e"),
+        11759, "2bed08423ab749f4f676ecb4085f2ece"),
 }
 
 

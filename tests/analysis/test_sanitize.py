@@ -83,10 +83,13 @@ class TestSanitizingSimulator:
         net.connect(sender, receiver, rate_bps=10**9, delay_ns=1.5)
         net.install_routes()
         receiver.register_protocol("test", Sink())
-        sender.send(make_packet(sender, receiver))
+        # The idle port schedules the arrival, serialization (8,000 ns)
+        # plus the float propagation delay, as it starts the packet: the
+        # send itself raises.
         with pytest.raises(SanitizerError) as excinfo:
+            sender.send(make_packet(sender, receiver))
             sim.run()
-        assert "delay=1.5" in str(excinfo.value)
+        assert "delay=8001.5 (float) for Port._deliver" in str(excinfo.value)
 
     def test_float_timer_restart_rejected(self):
         sim = SanitizingSimulator()

@@ -175,7 +175,7 @@ class TestLossRecovery:
         sim.run(until=milliseconds(2000))
         assert received[0] == 2_000_000
         assert conn.packets_lost == 51
-        assert sim.events_executed == 6111
+        assert sim.events_executed == 4702
         assert len(servers[0]._received.spans) == 8
 
     def test_packet_numbers_monotone(self, sim):

@@ -60,26 +60,26 @@ PINNED = {
     "fig5_mtp": (
         lambda sim: run_fig5("mtp", Fig5Config(duration_ns=milliseconds(1)),
                              sim=sim),
-        6117, 64205,
+        6117, 44781,
         "bf014c3275dc37e2fa2ed5bab0ae8b552667adaed40fae8b31fa362f83a3cefb"),
     "fig6_mtp_lb": (
         lambda sim: run_fig6("mtp_lb", Fig6Config(
             duration_ns=milliseconds(1.5)), sim=sim),
-        4536, 54470,
+        4536, 35959,
         "93732007f305c7ab2cf4df6e9b1d4753438f698152a4e38e2d5ea94fcde593ea"),
     "fig7_fair_share": (
         lambda sim: run_fig7("fair_share", Fig7Config(
             duration_ns=milliseconds(1)), sim=sim),
-        3658, 43372,
-        "e2a7def40f524953852e67a96856c42545f9033eb9a63b9ded9aff4d63df1ed0"),
+        3658, 25507,
+        "e4140d5d44769fbc2a97faa57d95ab9a43b78e6e8d78deb4be4843384c32eb0c"),
     # Two NACK repairs of trimmed packets.
     "extensions_trimming_nack": (
-        _trimming_transfer, 16, 67,
+        _trimming_transfer, 16, 50,
         "44b3f7bb98b3b2482cdedf87a637b79cc040414466d2fe364c0173a211f2f9aa"),
     # Two go-back-N timeouts across the link flap, 65 retransmissions.
     "fig8_chaos_mtp": (
         lambda sim: run_fig8("mtp", _chaos_config(), sim=sim),
-        1675, 19754,
+        1675, 11759,
         "4a5809508cfe373f8011cd13809a2eb95f6863d22d3371b182ceca35a0aabd37"),
 }
 
@@ -124,7 +124,7 @@ def test_one_window_probe_saved_per_ack(monkeypatch):
     counted(MtpEndpoint, "_handle_ack", "ack")
     sim = Simulator()
     run_fig7("fair_share", Fig7Config(duration_ns=milliseconds(1)), sim=sim)
-    assert sim.events_executed == 43372
+    assert sim.events_executed == 25507
     assert (calls["can_send"], calls["ack"]) == (9472, 3530)
 
 

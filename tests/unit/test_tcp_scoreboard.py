@@ -43,24 +43,24 @@ PINNED = {
     "fig5_dctcp": (
         lambda sim: run_fig5("dctcp", Fig5Config(
             duration_ns=milliseconds(2)), sim=sim),
-        13704, 2051, 71340,
+        13704, 2051, 42527,
         "31e57feb63589e02cb3e6c34f7c98a1c21dd5b4ba497f7aad500fafcb202b3fd"),
     "fig5_mptcp": (
         lambda sim: run_fig5("mptcp", Fig5Config(
             duration_ns=milliseconds(1.5)), sim=sim),
-        10084, 149, 49574,
+        10084, 149, 31661,
         "adba997d996f038c45f9bde9435c92ecc54d018a538ea2347e8fc0d5a3a2121b"),
     "fig6_ecmp_seed1": (
-        fig6("ecmp", 1, 2, buffer_packets=32), 18286, 1002, 107749,
+        fig6("ecmp", 1, 2, buffer_packets=32), 18286, 1002, 71455,
         "b9e9f59e7e92f01e3802efcaed2e3877a0dd161737f2e465d645a7e4c02688fa"),
     "fig6_ecmp_seed2": (
-        fig6("ecmp", 2, 2, buffer_packets=32), 20597, 1468, 120552,
+        fig6("ecmp", 2, 2, buffer_packets=32), 20597, 1468, 79599,
         "46ed9cdf4e8fb278fd3b012501c7dd9c59099271bde9ec4a9370e07657ccec24"),
     "fig6_spray_seed1": (
-        fig6("spray", 1, 1.5), 16419, 3586, 98550,
+        fig6("spray", 1, 1.5), 16419, 3586, 70379,
         "dccbdf94bedd3b8b4ac06e5058a56c78ede96fb9ee1b786ea7a74d24b7dc553d"),
     "fig6_spray_seed2": (
-        fig6("spray", 2, 1.5), 15202, 3323, 91239,
+        fig6("spray", 2, 1.5), 15202, 3323, 60760,
         "8c587f08a19fa11fa3198fd61dde9fe03393e0c78c41bfb25e127eeeabe0d18c"),
 }
 
